@@ -1,9 +1,24 @@
-"""Exact permutation-group computations via stabilizer chains.
+"""Exact permutation-group computations and full-group certificates.
 
-The construction is deterministic and seedless: base points are chosen as
-the least moved points, orbits are scanned in increasing point order, and
-transversals only ever extend, so identical generator lists (in identical
-order) yield identical chains, orders, and certificates.
+``generates_full_group`` proves generation by one of two routes:
+
+* **Transposition closure.**  When every generator preserves the classes,
+  it first collects transpositions of the generated group H: each
+  generator that is a transposition, or whose cycles are one 2-cycle plus
+  odd cycles (a power of it is that 2-cycle).  Conjugates and products of
+  overlapping transpositions give more, so closing those pairs under the
+  generators with a union-find pass (Atkinson's minimal-block algorithm)
+  only ever joins points whose transposition lies in H.  If the closure
+  fills every class, H contains the symmetric group on each class, and
+  its order is the full-group order.  No stabilizer chain is built.
+* **Schreier-Sims.**  Otherwise a deterministic stabilizer chain gives the
+  exact generated order.  It is the fallback, and the only source of
+  orders below the full order or of groups that leave their classes.
+
+The chain construction is deterministic and seedless: base points are
+chosen as the least moved points, orbits are scanned in increasing point
+order, and transversals only ever extend, so identical generator lists
+(in identical order) yield identical chains, orders, and certificates.
 
 Internally permutations are raw image tuples; the dataclass wrapper from
 :mod:`.core` appears only at the API boundary.
@@ -212,6 +227,75 @@ def _certificate(
     return ok, cert
 
 
+def _transposition_seed(p: tuple[int, ...]) -> tuple[int, int] | None:
+    """The 2-cycle of ``p`` when some power of ``p`` is that transposition.
+
+    That holds exactly when ``p`` has one 2-cycle and every other cycle
+    has odd length: the power by the lcm of the odd lengths removes them.
+    """
+    seen = bytearray(len(p))
+    pair = None
+    for x in range(len(p)):
+        if seen[x]:
+            continue
+        length = 0
+        y = x
+        while not seen[y]:
+            seen[y] = 1
+            y = p[y]
+            length += 1
+        if length % 2 == 0:
+            if length != 2 or pair is not None:
+                return None
+            pair = (x, p[x])
+    return pair
+
+
+def _transposition_closure_is_full(
+    gens: Sequence[tuple[int, ...]], relation: Partition
+) -> bool:
+    """True when the transpositions found in <gens> join up every class.
+
+    Requires every generator to preserve the classes of ``relation``.
+    Invariant: two points share a union-find set only if their
+    transposition lies in the generated group H.  Seeds keep it; so does
+    joining g(a) with g(b) for a joined pair (a, b), as
+    g (a b) g^-1 = (g(a) g(b)); and so does every union, as
+    (x y) = (x a)(a y)(x a).  Each union queues the pair it joined and
+    every queued pair is closed under every generator, so the final sets
+    form the least block system holding the seeds.  When they are the
+    classes, H contains the full group, which in turn contains H.
+    """
+    parent = list(range(relation.n))
+    joined: list[tuple[int, int]] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            joined.append((ra, rb))
+
+    for g in gens:
+        pair = _transposition_seed(g)
+        if pair is not None:
+            union(*pair)
+    # The sets refine the classes, so they equal them after n - #classes unions.
+    needed = relation.n - relation.num_classes
+    done = 0
+    while done < len(joined) < needed:
+        a, b = joined[done]
+        done += 1
+        for g in gens:
+            union(g[a], g[b])
+    return len(joined) == needed
+
+
 def generates_full_group(
     gens: Sequence[Permutation], relation: Partition
 ) -> tuple[bool, dict]:
@@ -219,15 +303,22 @@ def generates_full_group(
 
     True iff every generator moves points only within their classes and the
     generated order equals the full-group order.  The certificate records
-    both orders as decimal strings.
+    both orders as decimal strings.  The transposition closure proves a
+    true answer whenever it fills every class; otherwise the Schreier-Sims
+    chain decides, and it alone reports orders below the full order.
     """
     gen_list = list(gens)
     for g in gen_list:
         if g.n != relation.n:
             raise SpaceMismatchError(f"space sizes differ: {g.n} != {relation.n}")
     in_fg = all(in_full_group(g, relation) for g in gen_list)
+    target = full_group_order(relation)
+    if in_fg and _transposition_closure_is_full(
+        [g.images for g in gen_list], relation
+    ):
+        return _certificate(True, target, target)
     order = group_from_generators(gen_list, n_points=relation.n).order
-    return _certificate(in_fg, order, full_group_order(relation))
+    return _certificate(in_fg, order, target)
 
 
 def check_join_generation(relations: Sequence[Partition]) -> tuple[bool, dict]:

@@ -2,7 +2,8 @@
 
 The deterministic chain builder is cross-checked against a naive
 breadth-first closure on every small case, so the two routes to the group
-order are independent.
+order are independent.  The transposition-closure proof behind
+``generates_full_group`` is cross-checked against the chain builder.
 """
 
 import math
@@ -22,10 +23,12 @@ from orbitlab import (
     full_group_order,
     generates_full_group,
     group_from_generators,
+    in_full_group,
     join,
     naive_closure,
     naive_group_order,
 )
+from orbitlab.group_engine import _transposition_closure_is_full, _transposition_seed
 
 
 def sym_gens(n):
@@ -35,6 +38,51 @@ def sym_gens(n):
     if n >= 3:
         gens.append(Permutation.from_cycles(n, [(0, 1)]))
     return tuple(gens)
+
+
+def cycles_in_classes(rng, rel, lengths):
+    """Disjoint cycles of the given lengths, each inside one class.
+
+    A length that no class has room left for is skipped.
+    """
+    free = [list(c) for c in rel.classes()]
+    for pts in free:
+        rng.shuffle(pts)
+    cycles = []
+    for length in lengths:
+        fits = [pts for pts in free if len(pts) >= length]
+        if fits:
+            pts = rng.choice(fits)
+            cycles.append(tuple(pts.pop() for _ in range(length)))
+    return cycles
+
+
+def mixed_generators(rng, rel):
+    """Up to four generators: class shuffles, transpositions, one 2-cycle
+    plus odd cycles, decoys (two 2-cycles, or a 2-cycle and a 4-cycle),
+    and permutations that may leave their classes."""
+    n = rel.n
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("shuffle", "transposition", "seed", "decoy", "any"))
+        if kind == "shuffle":
+            images = list(range(n))
+            for cls_pts in rel.classes():
+                moved = list(cls_pts)
+                rng.shuffle(moved)
+                for x, y in zip(cls_pts, moved):
+                    images[x] = y
+            gens.append(Permutation(tuple(images)))
+        elif kind == "any":
+            gens.append(random_permutation(rng, n))
+        else:
+            lengths = {
+                "transposition": [2],
+                "seed": [2] + [rng.choice((3, 5)) for _ in range(rng.randint(1, 2))],
+                "decoy": rng.choice(([2, 2], [2, 4])),
+            }[kind]
+            gens.append(Permutation.from_cycles(n, cycles_in_classes(rng, rel, lengths)))
+    return gens
 
 
 class TestGroupFromGenerators:
@@ -179,6 +227,93 @@ class TestGeneratesFullGroup:
         ok, cert = generates_full_group(full_group_generators(rel), rel)
         assert ok
         assert cert["full_group_order"] == str(math.factorial(25))
+
+    def test_three_hundred_point_cycle_and_transposition(self):
+        n = 300
+        gens = (
+            Permutation.from_cycles(n, [tuple(range(n))]),
+            Permutation.from_cycles(n, [(0, 1)]),
+        )
+        ok, cert = generates_full_group(gens, Partition.single_class(n))
+        assert ok and cert["generates"] is True
+        assert cert["generated_order"] == str(math.factorial(300))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 10**6))
+    def test_certificate_matches_the_engine(self, seed):
+        rng = random.Random(seed)
+        rel = random_partition(rng, rng.randint(1, 9))
+        gens = mixed_generators(rng, rel)
+        order = group_from_generators(gens, n_points=rel.n).order
+        full = full_group_order(rel)
+        in_fg = all(in_full_group(g, rel) for g in gens)
+        assert generates_full_group(gens, rel)[1] == {
+            "in_full_group": in_fg,
+            "generated_order": str(order),
+            "full_group_order": str(full),
+            "generates": in_fg and order == full,
+        }
+        if in_fg and _transposition_closure_is_full([g.images for g in gens], rel):
+            assert order == full
+
+
+class TestTranspositionClosure:
+    def test_two_cycle_with_odd_cycles_seeds_its_transposition(self):
+        p = Permutation.from_cycles(5, [(0, 1), (2, 3, 4)])
+        assert _transposition_seed(p.images) == (0, 1)
+        assert p ** 3 == Permutation.from_cycles(5, [(0, 1)])
+        assert _transposition_seed(Permutation.from_cycles(3, [(1, 2)]).images) == (1, 2)
+
+    def test_no_seed_without_a_lone_two_cycle(self):
+        for cycles in ([(0, 1), (2, 3, 4, 5)], [(0, 1), (2, 3)], [(0, 1, 2)], []):
+            p = Permutation.from_cycles(6, cycles)
+            assert _transposition_seed(p.images) is None, cycles
+
+    def test_merged_generator_reaches_the_full_group(self):
+        # U1 = U0 * C1 with C1 of odd orbit size p+2 = 5: U1^5 = U0.
+        n = 12
+        t0 = Permutation.from_cycles(n, [tuple(range(n))])
+        u1 = Permutation.from_cycles(n, [(0, 1), (2, 3, 4, 5, 6), (7, 8, 9, 10, 11)])
+        assert _transposition_closure_is_full([t0.images, u1.images], Partition.single_class(n))
+
+    def test_alternating_group_falls_back_to_the_engine(self):
+        n = 6
+        rel = Partition.single_class(n)
+        gens = [Permutation.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
+        assert not _transposition_closure_is_full([g.images for g in gens], rel)
+        ok, cert = generates_full_group(gens, rel)
+        assert not ok
+        assert cert == {
+            "in_full_group": True,
+            "generated_order": str(math.factorial(n) // 2),
+            "full_group_order": str(math.factorial(n)),
+            "generates": False,
+        }
+
+    def test_closure_stops_at_the_least_block(self):
+        # (0 2)(1 3) keeps the blocks {0, 1} and {2, 3}; the closure of (0 1)
+        # joins only 2 and 3, so it cannot prove Sym(4).
+        rel = Partition.single_class(4)
+        gens = [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 2), (1, 3)])]
+        assert not _transposition_closure_is_full([g.images for g in gens], rel)
+        ok, cert = generates_full_group(gens, rel)
+        assert not ok and cert["generated_order"] == "8"
+
+    def test_mixed_sets_reach_both_routes(self):
+        counts = {"proof": 0, "engine_full": 0, "engine_smaller": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            rel = random_partition(rng, rng.randint(1, 9))
+            gens = mixed_generators(rng, rel)
+            if not all(in_full_group(g, rel) for g in gens):
+                continue
+            if _transposition_closure_is_full([g.images for g in gens], rel):
+                counts["proof"] += 1
+            elif group_from_generators(gens, n_points=rel.n).order == full_group_order(rel):
+                counts["engine_full"] += 1
+            else:
+                counts["engine_smaller"] += 1
+        assert all(counts.values()), counts
 
 
 class TestCheckJoinGeneration:

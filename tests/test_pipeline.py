@@ -318,6 +318,13 @@ class TestRunPipeline:
             report = run_pipeline(cfg)
             assert report.all_certificates_true(), cfg
 
+    def test_thousand_point_run_certifies(self):
+        report = run_pipeline(PipelineConfig(n_cycles=1, n_points=1000, p=5, m=2))
+        assert set(report.certificates) == {
+            "power_identities", "full_set", "reduced_set", "isopgen", "mode_b",
+        }
+        assert report.all_certificates_true()
+
     def test_chains_are_extended_by_psi(self):
         cfg = PipelineConfig(2, 16, 3, 1)
         report = run_pipeline(cfg, mode="a")
