@@ -7,13 +7,10 @@ brute-force oracles — all in exact rational arithmetic.
 """
 
 from .core import (
-    FiniteSpace,
     PartialInjection,
     Permutation,
     SpaceMismatchError,
     compose,
-    inverse,
-    support,
     support_measure,
     uniform_distance,
 )
@@ -55,7 +52,6 @@ from .pipeline import (
     reshape_to_precycle,
     run_pipeline,
     split_graphing,
-    stress_mode,
 )
 from .relations import (
     Graphing,
@@ -75,13 +71,10 @@ from .relations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FiniteSpace",
     "PartialInjection",
     "Permutation",
     "SpaceMismatchError",
     "compose",
-    "inverse",
-    "support",
     "support_measure",
     "uniform_distance",
     "Partition",
@@ -119,7 +112,6 @@ __all__ = [
     "append_psi",
     "merge_generators",
     "run_pipeline",
-    "stress_mode",
     "SearchResult",
     "SearchSpaceTooLargeError",
     "brute_min_graphing_cost",

@@ -16,9 +16,8 @@ import json
 import sys
 import time
 import traceback
-from fractions import Fraction
 
-from .core import Permutation
+from .core import Permutation, frac_str
 from .cycles import make_cycle, orbit_sizes, validate_precycle
 from .group_engine import check_join_generation, generates_full_group
 from .oracle import (
@@ -27,7 +26,7 @@ from .oracle import (
     brute_min_generators,
     brute_min_graphing_cost,
 )
-from .pipeline import MODES, ConfigError, PipelineConfig, run_pipeline
+from .pipeline import MODES, ConfigError, PipelineConfig, certificates_ok, run_pipeline
 from .relations import (
     Graphing,
     Partition,
@@ -44,10 +43,6 @@ SCHEMA_VERSION = "1"
 
 class InputError(ValueError):
     """Bad file, malformed JSON, or invalid field content: exit code 2."""
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _load_json(path: str):
@@ -74,25 +69,13 @@ def _parse_perm_list(data) -> list[Permutation]:
         n = data["n"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"generator JSON needs 'n' and 'perms': {exc}") from exc
+    if type(n) is not int:
+        raise ValueError(f"generator list 'n' must be an integer, got {n!r}")
     out = [Permutation.from_json_dict(p) for p in perms]
     for p in out:
         if p.n != n:
             raise ValueError(f"permutation on {p.n} points, header says {n}")
     return out
-
-
-def _certificates_ok(certificates) -> bool:
-    def leaves(obj):
-        if isinstance(obj, bool):
-            yield obj
-        elif isinstance(obj, dict):
-            for v in obj.values():
-                yield from leaves(v)
-        elif isinstance(obj, (list, tuple)):
-            for v in obj:
-                yield from leaves(v)
-
-    return all(leaves(certificates))
 
 
 def _module_prefix(exc: BaseException) -> str | None:
@@ -224,8 +207,8 @@ def _cmd_relation(args):
             "relation": rel.to_json_dict(),
             "num_classes": rel.num_classes,
             "is_ergodic": is_ergodic(rel),
-            "cost_graphing": _frac(cost_graphing(graphing)),
-            "cost_relation": _frac(cost_relation(rel)),
+            "cost_graphing": frac_str(cost_graphing(graphing)),
+            "cost_relation": frac_str(cost_relation(rel)),
         }
         inputs = {"graphing": data, "seed": args.seed}
     elif args.action == "cost":
@@ -233,13 +216,13 @@ def _cmd_relation(args):
             data, graphing = _parse(args.graphing, Graphing.from_json_dict, "graphing")
             rel = generate_relation(graphing)
             results = {
-                "cost_graphing": _frac(cost_graphing(graphing)),
-                "cost_relation": _frac(cost_relation(rel)),
+                "cost_graphing": frac_str(cost_graphing(graphing)),
+                "cost_relation": frac_str(cost_relation(rel)),
             }
             inputs = {"graphing": data, "relation": None, "seed": args.seed}
         else:
             data, rel = _parse(args.relation, Partition.from_json_dict, "partition")
-            results = {"cost_relation": _frac(cost_relation(rel))}
+            results = {"cost_relation": frac_str(cost_relation(rel))}
             inputs = {"graphing": None, "relation": data, "seed": args.seed}
     else:  # join
         datas, rels = [], []
@@ -251,7 +234,7 @@ def _cmd_relation(args):
         results = {
             "relation": joined.to_json_dict(),
             "num_classes": joined.num_classes,
-            "cost_relation": _frac(cost_relation(joined)),
+            "cost_relation": frac_str(cost_relation(joined)),
         }
         inputs = {"relations": datas, "seed": args.seed}
     return inputs, results, []
@@ -381,7 +364,7 @@ def dispatch(argv: list[str]) -> int:
                 fh.write(text + "\n")
         except OSError as exc:
             return _fail(command, f"cannot write {out_path}: {exc}")
-    ok = _certificates_ok(certificates)
+    ok = certificates_ok(certificates)
     status = "all certificates true" if ok else "FALSE certificate present"
     if not certificates:
         status = "no certificates"

@@ -4,7 +4,6 @@ The ambient space is always ``{0, ..., n-1}`` with the uniform measure, so
 every measure is a rational with denominator ``n`` and every injection is
 automatically measure-preserving.  The building blocks are
 
-* :class:`FiniteSpace` -- the space itself,
 * :class:`Permutation` -- a bijection of the whole space,
 * :class:`PartialInjection` -- a bijection between two subsets.
 
@@ -30,32 +29,6 @@ def _check_same_space(a, b) -> None:
 
 
 @dataclass(frozen=True)
-class FiniteSpace:
-    """A probability space of ``n_points`` atoms, each of measure ``1/n_points``."""
-
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_points, int) or self.n_points < 1:
-            raise ValueError(f"n_points must be a positive integer, got {self.n_points!r}")
-
-    @property
-    def atom_measure(self) -> Fraction:
-        return Fraction(1, self.n_points)
-
-    def points(self) -> range:
-        return range(self.n_points)
-
-    def measure(self, points: Iterable[int]) -> Fraction:
-        """Measure of a set of points: ``|points| / n_points``."""
-        pts = frozenset(points)
-        bad = [x for x in pts if not (isinstance(x, int) and 0 <= x < self.n_points)]
-        if bad:
-            raise ValueError(f"points outside the space: {sorted(bad)!r}")
-        return Fraction(len(pts), self.n_points)
-
-
-@dataclass(frozen=True)
 class Permutation:
     """A bijection of ``{0, ..., n-1}``, stored as its image array.
 
@@ -71,7 +44,7 @@ class Permutation:
         n = len(images)
         seen = bytearray(n)
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if type(x) is not int or not 0 <= x < n or seen[x]:
                 raise ValueError("images do not describe a bijection")
             seen[x] = 1
 
@@ -159,6 +132,8 @@ class Permutation:
             images = data["images"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"permutation JSON needs 'n' and 'images': {exc}") from exc
+        if type(n) is not int:
+            raise ValueError(f"permutation 'n' must be an integer, got {n!r}")
         if not isinstance(images, list) or len(images) != n:
             raise ValueError("permutation 'images' must be a list of length n")
         return cls(tuple(images))
@@ -177,13 +152,15 @@ class PartialInjection:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted((int(s), int(t)) for s, t in self.pairs))
+        pairs = tuple(sorted((s, t) for s, t in self.pairs))
         object.__setattr__(self, "pairs", pairs)
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"space size must be a positive integer, got {self.n!r}")
         sources = set()
         targets = set()
         for s, t in pairs:
+            if type(s) is not int or type(t) is not int:
+                raise ValueError(f"pair ({s!r}, {t!r}) must hold two integers")
             if not (0 <= s < self.n and 0 <= t < self.n):
                 raise ValueError(f"pair ({s}, {t}) outside the space of size {self.n}")
             if s in sources:
@@ -270,11 +247,6 @@ def compose(outer: PartialInjection, inner: PartialInjection) -> PartialInjectio
     return PartialInjection(outer.n, tuple(pairs))
 
 
-def inverse(phi: PartialInjection) -> PartialInjection:
-    """Swap domain and range."""
-    return phi.inverse()
-
-
 def uniform_distance(t: Permutation, u: Permutation) -> Fraction:
     """The normalized count of points where the two permutations disagree.
 
@@ -285,10 +257,10 @@ def uniform_distance(t: Permutation, u: Permutation) -> Fraction:
     return Fraction(diff, t.n)
 
 
-def support(t: Permutation) -> frozenset[int]:
-    """Points moved by ``t``; its measure equals the distance to the identity."""
-    return t.support()
-
-
 def support_measure(t: Permutation) -> Fraction:
     return Fraction(len(t.support()), t.n)
+
+
+def frac_str(x: Fraction) -> str:
+    """The wire form of a rational: ``"numerator/denominator"``."""
+    return f"{x.numerator}/{x.denominator}"

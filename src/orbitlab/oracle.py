@@ -1,41 +1,32 @@
 """Brute-force ground truth at tiny sizes.
 
-Everything here certifies optima by enumeration, independently of the
-stabilizer-chain engine, so the two routes can be checked against each
-other.  Hard size caps refuse rather than approximate: a result marked
-exhaustive is a true optimum.
+Everything here certifies optima by enumeration.  "Generates" is decided
+by naive breadth-first closure, never by the stabilizer-chain engine, so
+the two routes can be checked against each other.  Hard size caps refuse
+rather than approximate: a result marked exhaustive is a true optimum.
 
-Search order and tie-breaking are fixed (lexicographic over image arrays,
-first witness at the optimum), and the parallel path aggregates chunk
-results by (value, candidate index) minimum, so parallel and serial runs
-return identical results.
+Each search is one serial scan in a fixed order (lexicographic over image
+arrays) and keeps the first witness at the optimum, so equal inputs give
+identical results.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import PartialInjection, Permutation
-from .group_engine import group_from_generators
+from .core import PartialInjection, Permutation, frac_str
 from .relations import Graphing, Partition, cost_relation
 
 MAX_COST_POINTS = 6
 MAX_GROUP_POINTS = 5
 MAX_SUPPORT_TUPLE = 2
-_PARALLEL_CHUNK = 2048
 
 
 class SearchSpaceTooLargeError(ValueError):
     """The requested exhaustive search exceeds the hard size caps."""
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,7 @@ class SearchResult:
         if self.optimum is None:
             opt = None
         elif isinstance(self.optimum, Fraction):
-            opt = _frac_str(self.optimum)
+            opt = frac_str(self.optimum)
         else:
             opt = self.optimum
         if self.witness is None:
@@ -177,7 +168,7 @@ def brute_min_generators(relation: Partition) -> SearchResult:
             for rest in itertools.product(elements, repeat=t - 1):
                 examined += 1
                 tup = (first,) + rest
-                if group_from_generators(tup).order == full_order:
+                if len(naive_closure(tup)) == full_order:
                     return SearchResult(
                         optimum=t,
                         witness=tup,
@@ -189,50 +180,12 @@ def brute_min_generators(relation: Partition) -> SearchResult:
     )  # pragma: no cover - direct products of symmetric groups need at most 2
 
 
-def _scan_support_range(args):
-    """Evaluate candidate tuples [start, stop); return the chunk's best.
-
-    Candidates are flat indices into the t-fold lexicographic product of
-    the group elements.  Returns (support_sum, flat_index, images_tuple)
-    or None when nothing in the chunk generates.
-    """
-    raw_elements, supports, t, full_order, start, stop = args
-    length = len(raw_elements)
-    perms = [Permutation(img) for img in raw_elements]
-    best: tuple[int, int, tuple] | None = None
-    for flat in range(start, stop):
-        idx = flat
-        total = 0
-        picks = []
-        for _ in range(t):
-            idx, r = divmod(idx, length)
-            picks.append(r)
-        picks.reverse()
-        for r in picks:
-            total += supports[r]
-        if best is not None and total >= best[0]:
-            continue
-        tup = tuple(perms[r] for r in picks)
-        if group_from_generators(tup).order == full_order:
-            best = (total, flat, tuple(raw_elements[r] for r in picks))
-    return best
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("ORBITLAB_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"ORBITLAB_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, cap)
-    return max(1, os.cpu_count() or 1)
-
-
 def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:
     """Minimum support-measure sum over generating t-tuples from the full group.
 
-    Enumerates all |G|^t tuples.  The comparison block reports the
+    Scans all |G|^t tuples in lexicographic order, skipping those whose
+    support sum cannot beat the best so far, and decides generation by naive
+    closure; ties keep the first tuple.  The comparison block reports the
     relation's cost, the gap, and whether the optimum sits strictly above
     it; an infeasible search (no generating t-tuple) yields optimum None.
     """
@@ -247,65 +200,29 @@ def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:
         )
     elements = full_group_elements(relation)
     full_order = len(elements)
-    rel_cost = cost_relation(relation)
-
-    def result(best: tuple[int, int, tuple] | None, space: int) -> SearchResult:
-        if best is None:
-            comparison = {
-                "relation_cost": _frac_str(rel_cost),
-                "gap": None,
-                "strictly_above_cost": None,
-            }
-            return SearchResult(
-                optimum=None,
-                witness=None,
-                search_space_size=space,
-                exhaustive=True,
-                comparison=comparison,
-            )
-        total, _, images = best
-        optimum = Fraction(total, n)
-        comparison = {
-            "relation_cost": _frac_str(rel_cost),
-            "gap": _frac_str(optimum - rel_cost),
-            "strictly_above_cost": optimum > rel_cost,
-        }
-        return SearchResult(
-            optimum=optimum,
-            witness=tuple(Permutation(img) for img in images),
-            search_space_size=space,
-            exhaustive=True,
-            comparison=comparison,
-        )
-
-    if t == 0:
-        best = (0, 0, ()) if full_order == 1 else None
-        return result(best, 1)
-
-    raw_elements = tuple(g.images for g in elements)
-    supports = tuple(sum(1 for x, y in enumerate(img) if x != y) for img in raw_elements)
-    space = len(elements) ** t
-    chunks = [
-        (raw_elements, supports, t, full_order, lo, min(lo + _PARALLEL_CHUNK, space))
-        for lo in range(0, space, _PARALLEL_CHUNK)
-    ]
-    threads = _thread_cap()
-    bests = None
-    if threads > 1 and len(chunks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-                bests = list(pool.map(_scan_support_range, chunks))
-        except (OSError, RuntimeError):
-            bests = None  # fall back to the serial scan
-    if bests is None:
-        bests = [_scan_support_range(chunk) for chunk in chunks]
-    best = None
-    for candidate in bests:
-        if candidate is None:
+    supports = [len(g.support()) for g in elements]
+    best_total = witness = None
+    for picks in itertools.product(range(len(elements)), repeat=t):
+        total = sum(supports[r] for r in picks)
+        if best_total is not None and total >= best_total:
             continue
-        if best is None or (candidate[0], candidate[1]) < (best[0], best[1]):
-            best = candidate
-    return result(best, space)
+        tup = tuple(elements[r] for r in picks)
+        if len(naive_closure(tup, n)) == full_order:
+            best_total, witness = total, tup
+    rel_cost = cost_relation(relation)
+    optimum = None if best_total is None else Fraction(best_total, n)
+    comparison = {
+        "relation_cost": frac_str(rel_cost),
+        "gap": None if optimum is None else frac_str(optimum - rel_cost),
+        "strictly_above_cost": None if optimum is None else optimum > rel_cost,
+    }
+    return SearchResult(
+        optimum=optimum,
+        witness=witness,
+        search_space_size=full_order**t,
+        exhaustive=True,
+        comparison=comparison,
+    )
 
 
 def naive_closure(gens, n_points: int | None = None, cap: int = 100_000) -> frozenset:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import PartialInjection, Permutation, compose, support, uniform_distance
+from .core import PartialInjection, Permutation, compose, frac_str, uniform_distance
 from .cycles import PrePCycle, make_cycle, orbit_sizes
 from .group_engine import generates_full_group
 from .relations import (
@@ -41,10 +41,6 @@ MODES = ("a", "b", "both")
 
 class ConfigError(ValueError):
     """A pipeline configuration violates one of its arithmetic constraints."""
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,9 @@ class GeneratorSet:
     psi: PartialInjection
 
     def __post_init__(self) -> None:
-        u0_supp = support(self.u0)
+        u0_supp = self.u0.support()
         for i, c in enumerate(self.cycles, start=1):
-            if u0_supp & support(c):
+            if u0_supp & c.support():
                 raise ValueError(f"u0 and cycle {i} have overlapping supports")
         if self.psi.dom != frozenset(self.blocks[-2]):
             raise ValueError("psi domain is not the next-to-last block")
@@ -176,7 +172,7 @@ class PipelineReport:
     conjugation: str = "identity"
 
     def all_certificates_true(self) -> bool:
-        return _boolean_leaves_true(self.certificates)
+        return certificates_ok(self.certificates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,19 +181,25 @@ class PipelineReport:
             "generators": self.generators.to_json_dict(),
             "precycles": [pre.to_json_dict() for pre in self.precycles],
             "certificates": self.certificates,
-            "cost_ledger": {k: _frac_str(v) for k, v in self.cost_ledger.items()},
+            "cost_ledger": {k: frac_str(v) for k, v in self.cost_ledger.items()},
             "conjugation": self.conjugation,
         }
 
 
-def _boolean_leaves_true(obj) -> bool:
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, Mapping):
-        return all(_boolean_leaves_true(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return all(_boolean_leaves_true(v) for v in obj)
-    return True
+def certificates_ok(certificates) -> bool:
+    """True when every boolean leaf of nested certificate mappings and lists is true."""
+
+    def leaves(obj):
+        if isinstance(obj, bool):
+            yield obj
+        elif isinstance(obj, Mapping):
+            for v in obj.values():
+                yield from leaves(v)
+        elif isinstance(obj, (list, tuple)):
+            for v in obj:
+                yield from leaves(v)
+
+    return all(leaves(certificates))
 
 
 def build_matui_pair(n_points: int) -> tuple[Permutation, Permutation]:
@@ -348,7 +350,7 @@ def merge_generators(u0: Permutation, c1: Permutation, p: int) -> Permutation:
     identity = Permutation.identity(u0.n)
     if u0 * u0 != identity:
         raise ValueError("the first factor must square to the identity")
-    overlap = support(u0) & support(c1)
+    overlap = u0.support() & c1.support()
     if overlap:
         raise ValueError(f"supports overlap at {sorted(overlap)}")
     bad = set(orbit_sizes(c1)) - {1, p + 2}
@@ -459,7 +461,7 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
         "c": c,
         "budget_ratio": Fraction(config.p + 2, config.p) * c,
         "epsilon": 1 - (1 + Fraction(config.p, 2)) * c,
-        "u0_support_measure": Fraction(len(support(u0)), N),
+        "u0_support_measure": Fraction(len(u0.support()), N),
         "generator_distance_sum": sum(
             (uniform_distance(g, identity) for g in reduced), start=Fraction(0)
         ),
@@ -472,8 +474,3 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
         certificates=certificates,
         cost_ledger=cost_ledger,
     )
-
-
-def stress_mode(config: PipelineConfig) -> PipelineReport:
-    """Run only the proper-subgroup certification (mode B)."""
-    return run_pipeline(config, mode="b")

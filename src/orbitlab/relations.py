@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import FiniteSpace, PartialInjection, Permutation, SpaceMismatchError
+from .core import PartialInjection, Permutation, SpaceMismatchError
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Partition:
         object.__setattr__(self, "class_id", ids)
         n = len(ids)
         for x, r in enumerate(ids):
-            if not isinstance(r, int) or not 0 <= r <= x:
+            if type(r) is not int or not 0 <= r <= x:
                 raise ValueError(f"class id of {x} must be its least class element, got {r!r}")
             if ids[r] != r:
                 raise ValueError(f"class id {r} of {x} is not itself a root")
@@ -55,6 +55,8 @@ class Partition:
 
     @classmethod
     def from_classes(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
+        if type(n) is not int:
+            raise ValueError(f"space size must be an integer, got {n!r}")
         ids = [-1] * n
         for block in classes:
             pts = sorted(block)
@@ -62,6 +64,8 @@ class Partition:
                 raise ValueError("empty class")
             root = pts[0]
             for x in pts:
+                if type(x) is not int:
+                    raise ValueError(f"point {x!r} is not an integer")
                 if not 0 <= x < n:
                     raise ValueError(f"point {x} outside the space of size {n}")
                 if ids[x] != -1:
@@ -134,7 +138,7 @@ class Graphing:
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
         object.__setattr__(self, "maps", maps)
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"space size must be a positive integer, got {self.n!r}")
         for i, phi in enumerate(maps):
             if phi.n != self.n:
@@ -161,12 +165,8 @@ class Graphing:
         return cls(n, tuple(PartialInjection.from_json_dict(m) for m in maps))
 
 
-def generate_relation(graphing: Graphing, space: FiniteSpace | None = None) -> Partition:
+def generate_relation(graphing: Graphing) -> Partition:
     """Orbit partition of the graphing: connected components of the union of graphs."""
-    if space is not None and space.n_points != graphing.n:
-        raise SpaceMismatchError(
-            f"graphing on {graphing.n} points, space has {space.n_points}"
-        )
     edges = [(s, t) for phi in graphing.maps for s, t in phi.pairs]
     return Partition.from_pairs(graphing.n, edges)
 

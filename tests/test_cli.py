@@ -396,6 +396,43 @@ class TestOracle:
         assert on_disk == report
 
 
+class TestStrictIntegers:
+    """Wire values must be JSON integers: nothing is truncated or coerced."""
+
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            pytest.param(
+                ["relation", "generate", "--graphing"],
+                [{"n": 3, "maps": [{"n": 3, "pairs": [[0.9, 2.5]]}]}],
+                id="float-pairs",
+            ),
+            pytest.param(
+                ["relation", "generate", "--graphing"],
+                [{"n": 3, "maps": [{"n": 3, "pairs": [["0", "1"]]}]}],
+                id="string-pairs",
+            ),
+            pytest.param(
+                ["verify", "membership", "--relation"],
+                [{"n": 2, "classes": [[0, 1]]}, {"n": 2, "images": [True, False]}],
+                id="bool-images",
+            ),
+            pytest.param(
+                ["relation", "cost", "--relation"],
+                [{"n": True, "classes": [[0]]}],
+                id="bool-n",
+            ),
+        ],
+    )
+    def test_non_integer_input_is_a_usage_error(self, capsys, tmp_path, command, files):
+        argv = command + [write_json(tmp_path, "a.json", files[0])]
+        if len(files) > 1:
+            argv += ["--perm", write_json(tmp_path, "b.json", files[1])]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 2
+        assert "integer" in report["error"]
+
+
 class TestDispatchBasics:
     def test_unknown_command_exits_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2

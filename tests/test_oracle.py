@@ -1,7 +1,10 @@
-"""Exhaustive-search ground truth: frozen optima, caps, and parallel parity."""
+"""Exhaustive-search ground truth: frozen optima, caps, and independence from
+the stabilizer-chain engine."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -197,18 +200,18 @@ class TestBruteMinGeneratingSupport:
         with pytest.raises(SearchSpaceTooLargeError):
             brute_min_generating_support(Partition.single_class(3), -1)
 
-    def test_parallel_and_serial_agree(self, monkeypatch):
-        rel = Partition.single_class(5)  # 120^2 tuples, several chunks
-        monkeypatch.setenv("ORBITLAB_THREADS", "1")
-        serial = brute_min_generating_support(rel, 2)
-        monkeypatch.setenv("ORBITLAB_THREADS", "4")
-        parallel = brute_min_generating_support(rel, 2)
-        assert serial == parallel
-
-    def test_thread_cap_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("ORBITLAB_THREADS", "many")
-        with pytest.raises(ValueError, match="ORBITLAB_THREADS"):
-            brute_min_generating_support(Partition.single_class(3), 1)
+    def test_symmetric_group_on_five_points_pinned(self):
+        # the largest group under the caps; both scans keep this witness
+        rel = Partition.single_class(5)
+        witness = ((0, 1, 2, 4, 3), (1, 2, 3, 0, 4))
+        pairs = brute_min_generating_support(rel, 2)
+        assert pairs.optimum == Fraction(6, 5)
+        assert tuple(p.images for p in pairs.witness) == witness
+        assert pairs.search_space_size == 120 ** 2
+        gens = brute_min_generators(rel)
+        assert gens.optimum == 2
+        assert tuple(p.images for p in gens.witness) == witness
+        assert gens.search_space_size == 161
 
     def test_json_serialization_of_results(self):
         res = brute_min_generating_support(Partition.single_class(3), 2)
@@ -239,3 +242,18 @@ class TestNaiveClosureCap:
 
     def test_identity_closure_without_generators(self):
         assert naive_closure((), n_points=3) == {(0, 1, 2)}
+
+
+def test_oracle_does_not_import_the_engine_or_a_pool():
+    # the oracle is the independent route the engine is checked against
+    source = Path(__file__).resolve().parents[1] / "src" / "orbitlab" / "oracle.py"
+    imported = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    for name in imported:
+        parts = name.split(".")
+        assert "group_engine" not in parts and "multiprocessing" not in parts, name
+        assert "concurrent.futures" not in name, name

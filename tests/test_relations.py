@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from helpers import random_graphing, random_partition
 from orbitlab import (
-    FiniteSpace,
     Graphing,
     PartialInjection,
     Partition,
     Permutation,
-    SpaceMismatchError,
     cost_graphing,
     cost_relation,
     full_group_generators,
@@ -69,12 +67,6 @@ class TestGenerateRelation:
         )
         rel = generate_relation(g)
         assert rel.classes() == ((0, 1, 2), (3, 4), (5,))
-
-    def test_optional_space_argument_checked(self):
-        g = Graphing(4, ())
-        assert generate_relation(g, FiniteSpace(4)) == Partition.singletons(4)
-        with pytest.raises(SpaceMismatchError):
-            generate_relation(g, FiniteSpace(5))
 
     def test_empty_graphing_gives_singletons(self):
         assert generate_relation(Graphing(3, ())) == Partition.singletons(3)
