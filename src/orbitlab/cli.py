@@ -6,12 +6,14 @@ invocation; a short human summary goes to standard error.  Exit codes:
 is false, 2 on input or usage errors.
 
 Reports are byte-identical across repeated runs with the same inputs,
-except for the timing field.
+except for the timing field.  The argument parser is built once per
+process, on the first request, and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -89,6 +91,7 @@ def _module_prefix(exc: BaseException) -> str | None:
     return last
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitlab",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class SpaceMismatchError(ValueError):
@@ -176,14 +176,6 @@ class PartialInjection:
         return cls(n, ())
 
     @classmethod
-    def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "PartialInjection":
-        return cls(n, tuple(mapping.items()))
-
-    @classmethod
-    def identity_on(cls, n: int, points: Iterable[int]) -> "PartialInjection":
-        return cls(n, tuple((x, x) for x in points))
-
-    @classmethod
     def from_permutation(cls, perm: Permutation) -> "PartialInjection":
         """The permutation viewed as a partial injection with full domain."""
         return cls(perm.n, tuple(enumerate(perm.images)))
@@ -195,10 +187,6 @@ class PartialInjection:
     @property
     def rng(self) -> frozenset[int]:
         return frozenset(t for _, t in self.pairs)
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
 
     @property
     def domain_measure(self) -> Fraction:
@@ -215,9 +203,6 @@ class PartialInjection:
 
     def inverse(self) -> "PartialInjection":
         return PartialInjection(self.n, tuple((t, s) for s, t in self.pairs))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "pairs": [[s, t] for s, t in self.pairs]}

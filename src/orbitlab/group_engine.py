@@ -26,6 +26,7 @@ Internally permutations are raw image tuples; the dataclass wrapper from
 
 from __future__ import annotations
 
+import decimal
 import math
 from collections import deque
 from typing import Iterable, Sequence
@@ -218,10 +219,11 @@ def _certificate(
     in_fg: bool, generated_order: int, target_order: int
 ) -> tuple[bool, dict]:
     ok = in_fg and generated_order == target_order
+    # Decimal prints every digit: str(int) refuses more than 4 300 of them.
     cert = {
         "in_full_group": in_fg,
-        "generated_order": str(generated_order),
-        "full_group_order": str(target_order),
+        "generated_order": str(decimal.Decimal(generated_order)),
+        "full_group_order": str(decimal.Decimal(target_order)),
         "generates": ok,
     }
     return ok, cert

@@ -186,20 +186,20 @@ class PipelineReport:
         }
 
 
+def _boolean_leaves(obj):
+    if isinstance(obj, bool):
+        yield obj
+    elif isinstance(obj, Mapping):
+        for v in obj.values():
+            yield from _boolean_leaves(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _boolean_leaves(v)
+
+
 def certificates_ok(certificates) -> bool:
     """True when every boolean leaf of nested certificate mappings and lists is true."""
-
-    def leaves(obj):
-        if isinstance(obj, bool):
-            yield obj
-        elif isinstance(obj, Mapping):
-            for v in obj.values():
-                yield from leaves(v)
-        elif isinstance(obj, (list, tuple)):
-            for v in obj:
-                yield from leaves(v)
-
-    return all(leaves(certificates))
+    return all(_boolean_leaves(certificates))
 
 
 def build_matui_pair(n_points: int) -> tuple[Permutation, Permutation]:

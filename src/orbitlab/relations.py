@@ -111,10 +111,6 @@ class Partition:
     def same(self, a: int, b: int) -> bool:
         return self.class_id[a] == self.class_id[b]
 
-    def class_of(self, x: int) -> tuple[int, ...]:
-        root = self.class_id[x]
-        return tuple(y for y, r in enumerate(self.class_id) if r == root)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "classes": [list(c) for c in self.classes()]}
 

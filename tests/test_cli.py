@@ -1,5 +1,6 @@
 """Command line interface: report schema, exit codes, determinism, errors."""
 
+import argparse
 import json
 import os
 import shutil
@@ -21,6 +22,12 @@ def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def source_env(**extra):
+    """The environment with the checkout's ``src/`` first on PYTHONPATH."""
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath)), **extra}
 
 
 def run_cli(capsys, argv):
@@ -460,6 +467,136 @@ class TestDispatchBasics:
         capsys.readouterr()
 
 
+ROOT_HELP = """\
+usage: orbitlab [-h]
+                {validate-precycle,make-cycle,relation,verify,pipeline,oracle}
+                ...
+
+Exact computations on finite uniform spaces: partial injections, generated
+relations, full groups, chain cycles, certified generator pipelines, and
+brute-force oracles.
+
+positional arguments:
+  {validate-precycle,make-cycle,relation,verify,pipeline,oracle}
+    validate-precycle   check the chain conditions
+    make-cycle          close a valid chain into its cycle
+    relation            generated relations, costs, joins
+    verify              full-group membership and generation
+    pipeline            build and certify generator sets
+    oracle              exhaustive searches at tiny sizes
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+PIPELINE_USAGE = """\
+usage: orbitlab pipeline [-h] [--seed SEED] --n N --N N_POINTS --p P --m M
+                         [--graphing GRAPHING_JSON] [--mode {a,b,both}]
+                         [--out REPORT_JSON]
+"""
+
+PIPELINE_HELP = PIPELINE_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           recorded in the report; current constructions are
+                        deterministic
+  --n N                 number of chains
+  --N N_POINTS          space size
+  --p P                 odd chain parameter
+  --m M                 block size
+  --graphing GRAPHING_JSON
+  --mode {a,b,both}
+  --out REPORT_JSON
+"""
+
+PIPELINE_MISSING = PIPELINE_USAGE + (
+    "orbitlab pipeline: error: the following arguments are required: --N, --p, --m\n"
+)
+
+
+def _normalized(code, out, err):
+    """Exit code, report without its timing, and stderr, for comparison."""
+    report = json.loads(out) if out else None
+    if report is not None:
+        report.pop("timing_ms", None)
+    return code, report, err
+
+
+class TestSharedParser:
+    """The parser is built once per process; no request may leak into the next."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        r1 = write_json(tmp_path, "r1.json", {"n": 4, "classes": [[0, 1], [2], [3]]})
+        r2 = write_json(tmp_path, "r2.json", {"n": 4, "classes": [[0], [1, 2], [3]]})
+        r3 = write_json(tmp_path, "r3.json", {"n": 4, "classes": [[0], [1], [2, 3]]})
+        g = write_json(tmp_path, "g.json", {"n": 4, "maps": [{"n": 4, "pairs": [[0, 1]]}]})
+        sym3 = write_json(tmp_path, "sym3.json", {"n": 3, "classes": [[0, 1, 2]]})
+        return [
+            ["relation", "join", "--relation", r1, "--relation", r2, "--relation", r3],
+            ["frobnicate"],
+            ["relation", "join", "--relation", r1],
+            ["verify", "join-generation", "--relation", r1, "--relation", r2,
+             "--relation", r3],
+            ["relation"],
+            ["verify", "join-generation", "--relation", r1],
+            ["relation", "cost", "--graphing", g],
+            ["relation", "cost", "--relation", r2],
+            ["oracle", "min-support", "--relation", sym3, "--t", "2"],
+            ["oracle", "min-support", "--relation", sym3],
+            ["oracle", "min-cost", "--relation", sym3],
+        ]
+
+    def test_each_request_matches_a_fresh_process(self, capsys, monkeypatch, argvs):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = source_env(COLUMNS="80")
+        for argv in argvs:
+            code = dispatch(argv)
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbitlab.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert _normalized(code, captured.out, captured.err) == _normalized(
+                proc.returncode, proc.stdout, proc.stderr
+            ), argv
+
+    def test_later_requests_build_no_parser(self, capsys, monkeypatch, argvs):
+        dispatch(argvs[0])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in argvs:
+            dispatch(argv)
+        capsys.readouterr()
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["--help"], 0, ROOT_HELP, ""),
+            (["pipeline", "--help"], 0, PIPELINE_HELP, ""),
+            (["pipeline", "--n", "1"], 2, "", PIPELINE_MISSING),
+        ],
+        ids=["root-help", "pipeline-help", "missing-arguments"],
+    )
+    def test_help_and_usage_text(self, capsys, monkeypatch, argvs, argv, code, out, err):
+        """Text formatted at print time from the shared parser, at 80 columns."""
+        monkeypatch.setenv("COLUMNS", "80")
+        dispatch(argvs[0])
+        capsys.readouterr()
+        assert dispatch(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+
 class TestSubprocessEntryPoints:
     def test_module_invocation(self, tmp_path):
         rel = write_json(tmp_path, "r.json", {"n": 4, "classes": [[0, 1], [2, 3]]})
@@ -508,9 +645,7 @@ class TestSubprocessEntryPoints:
             f"    sys.exit({entry.attr}())\n",
             encoding="utf-8",
         )
-        pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-        self._validate_precycle(tmp_path, [sys.executable, str(wrapper)], env)
+        self._validate_precycle(tmp_path, [sys.executable, str(wrapper)], source_env())
 
     @pytest.mark.skipif(
         shutil.which("orbitlab") is None, reason="orbitlab console script not installed"

@@ -1,5 +1,7 @@
 """Configuration checks, the reshaping tool-chain, and full pipeline runs."""
 
+import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -322,6 +324,16 @@ class TestRunPipeline:
             "power_identities", "full_set", "reduced_set", "isopgen", "mode_b",
         }
         assert report.all_certificates_true()
+
+    def test_orders_beyond_the_int_string_limit(self):
+        """2000! has 5 736 digits, more than ``str(int)`` converts by default."""
+        report = run_pipeline(PipelineConfig(n_cycles=1, n_points=2000, p=3, m=1))
+        assert report.all_certificates_true()
+        for name in ("full_set", "reduced_set"):
+            cert = report.certificates[name]
+            for field in ("generated_order", "full_group_order"):
+                assert len(cert[field]) == 5736
+                assert decimal.Decimal(cert[field]) == math.factorial(2000)
 
     def test_chains_are_extended_by_psi(self):
         cfg = PipelineConfig(2, 16, 3, 1)
