@@ -38,7 +38,6 @@ from .oracle import (
     brute_min_graphing_cost,
     full_group_elements,
     naive_closure,
-    naive_group_order,
 )
 from .pipeline import (
     ConfigError,
@@ -119,6 +118,5 @@ __all__ = [
     "brute_min_generating_support",
     "full_group_elements",
     "naive_closure",
-    "naive_group_order",
     "__version__",
 ]

@@ -73,6 +73,8 @@ def _parse_perm_list(data) -> list[Permutation]:
         raise ValueError(f"generator JSON needs 'n' and 'perms': {exc}") from exc
     if type(n) is not int:
         raise ValueError(f"generator list 'n' must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"generator list 'n' must be positive, got {n}")
     out = [Permutation.from_json_dict(p) for p in perms]
     for p in out:
         if p.n != n:

@@ -134,6 +134,8 @@ class Permutation:
             raise ValueError(f"permutation JSON needs 'n' and 'images': {exc}") from exc
         if type(n) is not int:
             raise ValueError(f"permutation 'n' must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"permutation 'n' must be positive, got {n}")
         if not isinstance(images, list) or len(images) != n:
             raise ValueError("permutation 'images' must be a list of length n")
         return cls(tuple(images))

@@ -1,19 +1,19 @@
 """Exact permutation-group computations and full-group certificates.
 
-``generates_full_group`` proves generation by one of two routes:
+Every exact order comes from ``PermGroup``, given generators and a
+partition they all preserve: the relation being certified, or the
+generators' orbits.
 
-* **Transposition closure.**  When every generator preserves the classes,
-  it first collects transpositions of the generated group H: each
-  generator that is a transposition, or whose cycles are one 2-cycle plus
-  odd cycles (a power of it is that 2-cycle).  Conjugates and products of
-  overlapping transpositions give more, so closing those pairs under the
-  generators with a union-find pass (Atkinson's minimal-block algorithm)
-  only ever joins points whose transposition lies in H.  If the closure
-  fills every class, H contains the symmetric group on each class, and
-  its order is the full-group order.  No stabilizer chain is built.
+* **Transposition closure.**  Transpositions of the generated group H are
+  collected first: each generator that is a transposition, or whose cycles
+  are one 2-cycle plus odd cycles (a power of it is that 2-cycle).
+  Conjugates and products of overlapping transpositions give more, so
+  closing those pairs under the generators with a union-find pass
+  (Atkinson's minimal-block algorithm) only ever joins points whose
+  transposition lies in H.  If the closure fills every class, H is the
+  full group of the partition.  No stabilizer chain is built.
 * **Schreier-Sims.**  Otherwise a deterministic stabilizer chain gives the
-  exact generated order.  It is the fallback, and the only source of
-  orders below the full order or of groups that leave their classes.
+  exact order, and membership is decided by sifting.
 
 The chain construction is deterministic and seedless: base points are
 chosen as the least moved points, orbits are scanned in increasing point
@@ -159,34 +159,47 @@ class _Chain:
 
 
 class PermGroup:
-    """An immutable permutation group built from generators.
+    """An immutable permutation group with its exact order.
 
-    ``base``, ``strong_generators``, and ``order`` are exact; ``contains``
-    answers membership by sifting.  Instances are safe to share across
-    threads once constructed.
+    Every generator, a raw image tuple, must preserve the classes of
+    ``blocks``.  When their transposition closure fills every class, the
+    group is the full group of ``blocks`` and ``contains`` is the O(n)
+    class check; otherwise a Schreier-Sims chain gives the order and
+    ``contains`` sifts.  Safe to share across threads once constructed.
     """
 
-    __slots__ = ("n", "base", "strong_generators", "order", "_chain")
+    __slots__ = ("n", "order", "_blocks", "_chain")
 
-    def __init__(self, chain: _Chain):
-        self._chain = chain
-        self.n = chain.n
-        self.base = tuple(chain.base)
-        top = chain.gens[0] if chain.gens else []
-        self.strong_generators = tuple(Permutation(g) for g in top)
-        self.order = chain.order()
+    def __init__(self, gens: Sequence[tuple[int, ...]], blocks: Partition):
+        self.n = blocks.n
+        self._blocks = blocks
+        if _transposition_closure_is_full(gens, blocks):
+            self._chain = None
+            self.order = full_group_order(blocks)
+        else:
+            self._chain = _Chain(self.n)
+            for g in gens:
+                self._chain.add(g)
+            self.order = self._chain.order()
 
     def contains(self, perm: Permutation) -> bool:
+        if self._chain is None:
+            return in_full_group(perm, self._blocks)
         if perm.n != self.n:
             raise SpaceMismatchError(f"space sizes differ: {perm.n} != {self.n}")
-        residue, _ = self._chain.strip(perm.images)
-        return residue == self._chain.identity
+        return self._chain.strip(perm.images)[0] == self._chain.identity
 
     def __contains__(self, perm: Permutation) -> bool:
         return self.contains(perm)
 
     def __repr__(self) -> str:
         return f"PermGroup(n={self.n}, order={self.order})"
+
+
+def _orbits(gens: Sequence[tuple[int, ...]], n: int) -> Partition:
+    """The orbits of the group generated by the raw generators."""
+    pairs = ((x, y) for g in gens for x, y in enumerate(g) if x != y)
+    return Partition.from_pairs(n, pairs)
 
 
 def group_from_generators(
@@ -198,35 +211,15 @@ def group_from_generators(
     Deterministic for a fixed input order.
     """
     gen_list = list(gens)
-    if gen_list:
-        n = gen_list[0].n
-        for g in gen_list[1:]:
-            if g.n != n:
-                raise SpaceMismatchError(f"space sizes differ: {g.n} != {n}")
-        if n_points is not None and n_points != n:
-            raise SpaceMismatchError(f"space sizes differ: {n} != {n_points}")
-    elif n_points is None:
-        raise ValueError("an empty generator list needs an explicit n_points")
-    else:
-        n = n_points
-    chain = _Chain(n)
+    if n_points is None:
+        if not gen_list:
+            raise ValueError("an empty generator list needs an explicit n_points")
+        n_points = gen_list[0].n
     for g in gen_list:
-        chain.add(g.images)
-    return PermGroup(chain)
-
-
-def _certificate(
-    in_fg: bool, generated_order: int, target_order: int
-) -> tuple[bool, dict]:
-    ok = in_fg and generated_order == target_order
-    # Decimal prints every digit: str(int) refuses more than 4 300 of them.
-    cert = {
-        "in_full_group": in_fg,
-        "generated_order": str(decimal.Decimal(generated_order)),
-        "full_group_order": str(decimal.Decimal(target_order)),
-        "generates": ok,
-    }
-    return ok, cert
+        if g.n != n_points:
+            raise SpaceMismatchError(f"space sizes differ: {g.n} != {n_points}")
+    images = [g.images for g in gen_list]
+    return PermGroup(images, _orbits(images, n_points))
 
 
 def _transposition_seed(p: tuple[int, ...]) -> tuple[int, int] | None:
@@ -254,11 +247,12 @@ def _transposition_seed(p: tuple[int, ...]) -> tuple[int, int] | None:
 
 
 def _transposition_closure_is_full(
-    gens: Sequence[tuple[int, ...]], relation: Partition
+    gens: Sequence[tuple[int, ...]], blocks: Partition
 ) -> bool:
     """True when the transpositions found in <gens> join up every class.
 
-    Requires every generator to preserve the classes of ``relation``.
+    Requires every generator to preserve the classes of ``blocks``;
+    ``PermGroup`` runs it before it would build any chain.
     Invariant: two points share a union-find set only if their
     transposition lies in the generated group H.  Seeds keep it; so does
     joining g(a) with g(b) for a joined pair (a, b), as
@@ -268,7 +262,7 @@ def _transposition_closure_is_full(
     form the least block system holding the seeds.  When they are the
     classes, H contains the full group, which in turn contains H.
     """
-    parent = list(range(relation.n))
+    parent = list(range(blocks.n))
     joined: list[tuple[int, int]] = []
 
     def find(x: int) -> int:
@@ -288,7 +282,7 @@ def _transposition_closure_is_full(
         if pair is not None:
             union(*pair)
     # The sets refine the classes, so they equal them after n - #classes unions.
-    needed = relation.n - relation.num_classes
+    needed = blocks.n - blocks.num_classes
     done = 0
     while done < len(joined) < needed:
         a, b = joined[done]
@@ -305,22 +299,26 @@ def generates_full_group(
 
     True iff every generator moves points only within their classes and the
     generated order equals the full-group order.  The certificate records
-    both orders as decimal strings.  The transposition closure proves a
-    true answer whenever it fills every class; otherwise the Schreier-Sims
-    chain decides, and it alone reports orders below the full order.
+    both orders as decimal strings.  The exact generated order comes from
+    ``PermGroup`` over the relation when every generator preserves it, and
+    over the generators' orbits otherwise.
     """
     gen_list = list(gens)
     for g in gen_list:
         if g.n != relation.n:
             raise SpaceMismatchError(f"space sizes differ: {g.n} != {relation.n}")
     in_fg = all(in_full_group(g, relation) for g in gen_list)
+    images = [g.images for g in gen_list]
+    order = PermGroup(images, relation if in_fg else _orbits(images, relation.n)).order
     target = full_group_order(relation)
-    if in_fg and _transposition_closure_is_full(
-        [g.images for g in gen_list], relation
-    ):
-        return _certificate(True, target, target)
-    order = group_from_generators(gen_list, n_points=relation.n).order
-    return _certificate(in_fg, order, target)
+    ok = in_fg and order == target
+    # Decimal prints every digit: str(int) refuses more than 4 300 of them.
+    return ok, {
+        "in_full_group": in_fg,
+        "generated_order": str(decimal.Decimal(order)),
+        "full_group_order": str(decimal.Decimal(target)),
+        "generates": ok,
+    }
 
 
 def check_join_generation(relations: Sequence[Partition]) -> tuple[bool, dict]:

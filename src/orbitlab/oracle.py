@@ -253,7 +253,3 @@ def naive_closure(gens, n_points: int | None = None, cap: int = 100_000) -> froz
                     nxt.append(q)
         frontier = nxt
     return frozenset(seen)
-
-
-def naive_group_order(gens, n_points: int | None = None) -> int:
-    return len(naive_closure(gens, n_points))

@@ -392,7 +392,8 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
     N = config.n_points
     blocks = config.blocks()
     t0, u0 = build_matui_pair(N)
-    r0 = generate_relation(Graphing(N, (PartialInjection.from_permutation(t0),)))
+    # T0 is an N-cycle, so the relation it generates is the single class.
+    single = Partition.single_class(N)
 
     if config.graphing is None:
         pres = [
@@ -405,12 +406,12 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
             reshape_to_precycle(
                 regroup_graphing(chunk, config.p, config.m),
                 blocks[: config.p + 1],
-                r0,
+                single,
             )
             for chunk in chunks
         ]
 
-    tilde = append_psi(pres, blocks[-2], blocks[-1], r0)
+    tilde = append_psi(pres, blocks[-2], blocks[-1], single)
     psi = tilde[0].maps[-1]
     cycles = [make_cycle(pre) for pre in tilde]
     u1 = merge_generators(u0, cycles[0], config.p)
@@ -423,7 +424,6 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
         psi=psi,
     )
 
-    single = Partition.single_class(N)
     r_psi = generate_relation(Graphing(N, (psi,)))
     certificates: dict = {
         "power_identities": {
@@ -447,10 +447,10 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
 
     if mode in ("b", "both"):
         # Without the transposition the reachable group is the full group of
-        # the join of the cycle relations; the merge degenerates to c1 alone.
+        # the join of the cycle relations; the merge degenerates to c1 alone,
+        # so the cycles themselves are the generators.
         joined = join([generate_relation(pre.as_graphing()) for pre in tilde])
-        u1_b = merge_generators(Permutation.identity(N), cycles[0], config.p)
-        gens_b = [u1_b] + cycles[1:] + list(full_group_generators(r_psi))
+        gens_b = cycles + list(full_group_generators(r_psi))
         _, cert_b = generates_full_group(gens_b, joined)
         certificates["mode_b"] = cert_b
 

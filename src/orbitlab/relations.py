@@ -14,6 +14,7 @@ of the graphs of the maps.  On a finite uniform space everything is exact:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -57,6 +58,8 @@ class Partition:
     def from_classes(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
         if type(n) is not int:
             raise ValueError(f"space size must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"space size must be positive, got {n}")
         ids = [-1] * n
         for block in classes:
             pts = sorted(block)
@@ -266,10 +269,7 @@ def in_full_group(perm: Permutation, relation: Partition) -> bool:
 
 def full_group_order(relation: Partition) -> int:
     """Order of the full group: the product of the factorials of class sizes."""
-    order = 1
-    for cls_pts in relation.classes():
-        order *= math.factorial(len(cls_pts))
-    return order
+    return math.prod(map(math.factorial, Counter(relation.class_id).values()))
 
 
 def full_group_generators(relation: Partition) -> tuple[Permutation, ...]:

@@ -440,6 +440,49 @@ class TestStrictIntegers:
         assert "integer" in report["error"]
 
 
+class TestPositiveSpaceSize:
+    """A space of 0 or fewer points is refused, never coerced to an empty one."""
+
+    EMPTY = {"n": 0, "classes": []}
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            pytest.param(
+                ["relation", "cost", "--relation", "{0}"],
+                [{"n": -3, "classes": []}],
+                id="relation-cost",
+            ),
+            pytest.param(
+                ["relation", "join", "--relation", "{0}"],
+                [EMPTY],
+                id="relation-join",
+            ),
+            pytest.param(
+                ["oracle", "min-support", "--t", "1", "--relation", "{0}"],
+                [EMPTY],
+                id="oracle-min-support",
+            ),
+            pytest.param(
+                ["verify", "generation", "--gens", "{0}", "--relation", "{1}"],
+                [{"n": 0, "perms": []}, EMPTY],
+                id="verify-generation",
+            ),
+            pytest.param(
+                ["verify", "membership", "--perm", "{0}", "--relation", "{1}"],
+                [{"n": 0, "images": []}, EMPTY],
+                id="verify-membership",
+            ),
+        ],
+    )
+    def test_empty_or_negative_space_is_a_usage_error(self, capsys, tmp_path, argv, files):
+        paths = [write_json(tmp_path, f"in{i}.json", obj) for i, obj in enumerate(files)]
+        code, report, err = run_cli(capsys, [a.format(*paths) for a in argv])
+        assert code == 2
+        assert "positive" in report["error"]
+        assert "Traceback" not in err
+
+
 class TestDispatchBasics:
     def test_unknown_command_exits_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
@@ -604,6 +647,7 @@ class TestSubprocessEntryPoints:
             [sys.executable, "-m", "orbitlab.cli", "relation", "cost", "--relation", rel],
             capture_output=True,
             text=True,
+            env=source_env(),
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)

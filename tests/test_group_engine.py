@@ -1,9 +1,10 @@
 """Permutation-group construction, membership, and generation certificates.
 
-The deterministic chain builder is cross-checked against a naive
-breadth-first closure on every small case, so the two routes to the group
-order are independent.  The transposition-closure proof behind
-``generates_full_group`` is cross-checked against the chain builder.
+The deterministic chain builder is driven directly and cross-checked
+against a naive breadth-first closure on every small case, so the two
+routes to the group order are independent.  ``PermGroup``, which proves
+full groups by transposition closure and builds a chain otherwise, is
+cross-checked against both.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import random_partition, random_permutation
 from orbitlab import (
     Partition,
+    PermGroup,
     Permutation,
     SpaceMismatchError,
     check_join_generation,
@@ -26,9 +28,21 @@ from orbitlab import (
     in_full_group,
     join,
     naive_closure,
-    naive_group_order,
 )
-from orbitlab.group_engine import _transposition_closure_is_full, _transposition_seed
+from orbitlab.group_engine import _Chain, _transposition_closure_is_full, _transposition_seed
+
+
+def chain_of(gens, n):
+    """The Schreier-Sims chain of the generators, built directly."""
+    chain = _Chain(n)
+    for g in gens:
+        chain.add(g.images)
+    return chain
+
+
+def sifts(chain, perm):
+    """Membership by sifting through the chain."""
+    return chain.strip(perm.images)[0] == chain.identity
 
 
 def sym_gens(n):
@@ -85,6 +99,127 @@ def mixed_generators(rng, rel):
     return gens
 
 
+def refine(rng, rel):
+    """A random partition whose classes split those of ``rel``."""
+    classes = []
+    for cls_pts in rel.classes():
+        cut = rng.randint(1, len(cls_pts))
+        classes.extend(c for c in (cls_pts[:cut], cls_pts[cut:]) if c)
+    return Partition.from_classes(rel.n, classes)
+
+
+def block_permutations(rng, rel, count):
+    """Permutations of one class that keep a system of blocks of size m,
+    1 < m < class size, plus a transposition inside the first block."""
+    n = rel.n
+    fits = [
+        (c, m) for c in rel.classes() for m in range(2, len(c)) if len(c) % m == 0
+    ]
+    if not fits:
+        return []
+    cls_pts, m = rng.choice(fits)
+    blocks = [cls_pts[i : i + m] for i in range(0, len(cls_pts), m)]
+    gens = [Permutation.from_cycles(n, [blocks[0][:2]])]
+    for _ in range(count):
+        images = list(range(n))
+        targets = blocks[:]
+        rng.shuffle(targets)
+        for src, dst in zip(blocks, targets):
+            dst = list(dst)
+            rng.shuffle(dst)
+            for x, y in zip(src, dst):
+                images[x] = y
+        gens.append(Permutation(tuple(images)))
+    return gens
+
+
+def engine_sets(rng, rel):
+    """Generator sets of every shape: the mixed sets, even sets, sets that
+    are intransitive on the classes, and imprimitive sets."""
+    kind = rng.choice(("mixed", "even", "intransitive", "imprimitive"))
+    if kind == "mixed":
+        return mixed_generators(rng, rel)
+    if kind == "even":
+        return [
+            Permutation.from_cycles(
+                rel.n, cycles_in_classes(rng, rel, rng.choice(([3], [3, 3], [2, 2], [5])))
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+    if kind == "intransitive":
+        return mixed_generators(rng, refine(rng, rel))
+    return block_permutations(rng, rel, rng.randint(1, 2))
+
+
+def orbit_swaps(closure, n):
+    """For each two distinct orbits of equal size, the permutation that
+    swaps them point by point in increasing order."""
+    orbits = sorted({tuple(sorted({p[x] for p in closure})) for x in range(n)})
+    swaps = []
+    for i, a in enumerate(orbits):
+        for b in orbits[i + 1 :]:
+            if len(a) == len(b):
+                images = list(range(n))
+                for x, y in zip(a, b):
+                    images[x], images[y] = y, x
+                swaps.append(Permutation(tuple(images)))
+    return swaps
+
+
+class TestOneRoute:
+    """``PermGroup`` against the chain built directly and naive closure."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 10**6))
+    def test_order_and_membership_match_the_chain(self, seed):
+        rng = random.Random(seed)
+        rel = random_partition(rng, rng.randint(1, 8))
+        n = rel.n
+        gens = engine_sets(rng, rel)
+        closure = naive_closure(gens, n)
+        chain = chain_of(gens, n)
+        assert chain.order() == len(closure)
+        groups = [group_from_generators(gens, n_points=n)]
+        if all(in_full_group(g, rel) for g in gens):
+            groups.append(PermGroup([g.images for g in gens], rel))
+        for group in groups:
+            assert group.order == chain.order()
+            if group._chain is not None:
+                continue
+            # Proved by the closure: membership is the O(n) class check.
+            swaps = orbit_swaps(closure, n)
+            for p in swaps:
+                assert not group.contains(p)
+            members = [Permutation(images) for images in sorted(closure)[:5]]
+            others = [random_permutation(rng, n) for _ in range(5)]
+            for p in swaps + members + others:
+                assert group.contains(p) == sifts(chain, p) == (p.images in closure)
+
+    def test_shapes_reach_both_routes(self):
+        counts = {"closure": 0, "chain": 0, "swaps": 0}
+        for seed in range(100):
+            rng = random.Random(seed)
+            rel = random_partition(rng, rng.randint(1, 8))
+            gens = engine_sets(rng, rel)
+            group = group_from_generators(gens, n_points=rel.n)
+            if group._chain is None:
+                counts["closure"] += 1
+                counts["swaps"] += bool(orbit_swaps(naive_closure(gens, rel.n), rel.n))
+            else:
+                counts["chain"] += 1
+        assert all(counts.values()), counts
+
+    def test_alternating_group_on_twenty_points(self):
+        # No transposition seeds: the order comes from the chain, at scale.
+        n = 20
+        gens = [Permutation.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
+        group = group_from_generators(gens)
+        assert group._chain is not None
+        assert group.order == math.factorial(n) // 2
+        assert Permutation.from_cycles(n, [(0, 1, 2)]) in group
+        assert Permutation.from_cycles(n, [(0, 1)]) not in group
+
+
 class TestGroupFromGenerators:
     def test_trivial_group_needs_explicit_space(self):
         g = group_from_generators((), n_points=4)
@@ -102,22 +237,36 @@ class TestGroupFromGenerators:
 
     def test_cyclic_group(self):
         c = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+        swap = Permutation.from_cycles(6, [(0, 1)])
+        chain = chain_of((c,), 6)
+        assert chain.order() == len(naive_closure((c,))) == 6
+        assert sifts(chain, c ** 4)
+        assert not sifts(chain, swap)
         g = group_from_generators((c,))
         assert g.order == 6
         assert c ** 4 in g
-        assert Permutation.from_cycles(6, [(0, 1)]) not in g
+        assert swap not in g
 
     def test_membership_by_sifting(self):
-        g = group_from_generators(sym_gens(5))
+        gens = sym_gens(5)
+        chain = chain_of(gens, 5)
+        members = naive_closure(gens)
+        g = group_from_generators(gens)
         rng = random.Random(11)
         for _ in range(20):
-            assert random_permutation(rng, 5) in g
+            p = random_permutation(rng, 5)
+            assert p.images in members
+            assert sifts(chain, p)
+            assert p in g
         with pytest.raises(SpaceMismatchError):
             g.contains(Permutation.identity(4))
 
     def test_klein_four_group(self):
         a = Permutation.from_cycles(4, [(0, 1), (2, 3)])
         b = Permutation.from_cycles(4, [(0, 2), (1, 3)])
+        chain = chain_of((a, b), 4)
+        assert chain.order() == len(naive_closure((a, b))) == 4
+        assert sifts(chain, a * b)
         g = group_from_generators((a, b))
         assert g.order == 4
         assert a * b in g
@@ -134,13 +283,10 @@ class TestGroupFromGenerators:
         rng = random.Random(seed)
         n = rng.randint(1, 7)
         gens = tuple(random_permutation(rng, n) for _ in range(rng.randint(0, 3)))
-        if gens:
-            expected = naive_group_order(gens)
-            got = group_from_generators(gens).order
-        else:
-            expected = 1
-            got = group_from_generators(gens, n_points=n).order
+        expected = len(naive_closure(gens, n))
+        got = chain_of(gens, n).order()
         assert got == expected
+        assert group_from_generators(gens, n_points=n).order == expected
         assert math.factorial(n) % got == 0  # Lagrange
 
     @settings(deadline=None, max_examples=30)
@@ -149,9 +295,7 @@ class TestGroupFromGenerators:
         rng = random.Random(seed)
         n = rng.randint(2, 6)
         gens = [random_permutation(rng, n) for _ in range(3)]
-        orders = [
-            group_from_generators(tuple(gens[: k + 1])).order for k in range(3)
-        ]
+        orders = [chain_of(gens[: k + 1], n).order() for k in range(3)]
         assert orders == sorted(orders)
         for k in range(1, 3):
             assert orders[k] % orders[k - 1] == 0
@@ -162,8 +306,10 @@ class TestGroupFromGenerators:
         rng = random.Random(seed)
         n = rng.randint(1, 5)
         gens = tuple(random_permutation(rng, n) for _ in range(2))
+        chain = chain_of(gens, n)
         g = group_from_generators(gens)
         for images in naive_closure(gens):
+            assert sifts(chain, Permutation(images))
             assert Permutation(images) in g
 
 
@@ -179,7 +325,7 @@ class TestNaiveClosure:
 
     def test_symmetric_group_sizes(self):
         for n in (2, 3, 4, 5):
-            assert naive_group_order(sym_gens(n)) == math.factorial(n)
+            assert len(naive_closure(sym_gens(n))) == math.factorial(n)
 
 
 class TestGeneratesFullGroup:
@@ -244,7 +390,7 @@ class TestGeneratesFullGroup:
         rng = random.Random(seed)
         rel = random_partition(rng, rng.randint(1, 9))
         gens = mixed_generators(rng, rel)
-        order = group_from_generators(gens, n_points=rel.n).order
+        order = chain_of(gens, rel.n).order()
         full = full_group_order(rel)
         in_fg = all(in_full_group(g, rel) for g in gens)
         assert generates_full_group(gens, rel)[1] == {
@@ -309,7 +455,7 @@ class TestTranspositionClosure:
                 continue
             if _transposition_closure_is_full([g.images for g in gens], rel):
                 counts["proof"] += 1
-            elif group_from_generators(gens, n_points=rel.n).order == full_group_order(rel):
+            elif chain_of(gens, rel.n).order() == full_group_order(rel):
                 counts["engine_full"] += 1
             else:
                 counts["engine_smaller"] += 1
@@ -341,7 +487,7 @@ class TestCheckJoinGeneration:
         rels = [random_partition(rng, n) for _ in range(rng.randint(1, 3))]
         ok, cert = check_join_generation(rels)
         gens = tuple(g for rel in rels for g in full_group_generators(rel))
-        expected = naive_group_order(gens) if gens else 1
+        expected = len(naive_closure(gens, n))
         assert int(cert["generated_order"]) == expected
         assert ok == (expected == full_group_order(join(rels)))
 

@@ -26,6 +26,7 @@ from orbitlab import (
     run_pipeline,
     split_graphing,
 )
+from orbitlab import group_engine
 
 
 def small_config(**overrides):
@@ -406,6 +407,29 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         assert report.all_certificates_true()
         assert len(report.generators.cycles) == 2
+
+    def test_builds_no_stabilizer_chain(self, monkeypatch):
+        """Every pipeline certificate is proved by the transposition closure."""
+        built = []
+        monkeypatch.setattr(group_engine, "_Chain", lambda n: built.append(n))
+        user = Graphing(
+            12,
+            (
+                PartialInjection(12, ((7, 8),)),
+                PartialInjection(12, ((8, 9),)),
+                PartialInjection(12, ((9, 10),)),
+            ),
+        )
+        for cfg in (
+            PipelineConfig(1, 10, 3, 1),
+            PipelineConfig(2, 16, 3, 1),
+            PipelineConfig(1, 20, 5, 1),
+            PipelineConfig(2, 40, 3, 2),
+            PipelineConfig(1, 12, 3, 1, graphing=user),
+        ):
+            report = run_pipeline(cfg, mode="both")
+            assert report.all_certificates_true(), cfg
+        assert built == []
 
     def test_determinism(self):
         cfg = PipelineConfig(2, 16, 3, 1, seed=5)
