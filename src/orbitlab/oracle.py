@@ -5,9 +5,9 @@ by naive breadth-first closure, never by the stabilizer-chain engine, so
 the two routes can be checked against each other.  Hard size caps refuse
 rather than approximate: a result marked exhaustive is a true optimum.
 
-Each search is one serial scan in a fixed order (lexicographic over image
-arrays) and keeps the first witness at the optimum, so equal inputs give
-identical results.
+Each search is serial and keeps the first witness at the optimum in
+lexicographic order over image arrays, so equal inputs give identical
+results.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ class SearchResult:
 
     ``optimum`` is None when no feasible configuration exists.  ``witness``
     is the first configuration attaining the optimum in enumeration order.
-    ``search_space_size`` counts the candidates the search examined, and
-    ``exhaustive`` is True only when that examination certifies the
-    optimum: every candidate that could have beaten it was enumerated.
+    ``search_space_size`` is the space the optimum is certified over: all
+    edge subsets for ``min-cost`` and all |G|^t tuples for ``min-support``,
+    while for ``min-gens`` it counts the candidates the scan examined.
+    ``exhaustive`` is True only when the search certifies the optimum:
+    every candidate that could have beaten it was ruled out.
     """
 
     optimum: Fraction | int | None
@@ -125,21 +127,22 @@ def full_group_elements(relation: Partition) -> tuple[Permutation, ...]:
     return tuple(Permutation(img) for img in out)
 
 
-def _conjugacy_representatives(elements: tuple[Permutation, ...]) -> list[Permutation]:
-    """Lex-least representative of each orbit under conjugation by the group."""
-    raw = [g.images for g in elements]
-    inverses = {p: tuple(sorted(range(len(p)), key=p.__getitem__)) for p in raw}
-    reps = []
-    seen: set[tuple[int, ...]] = set()
-    for g in raw:
-        if g in seen:
-            continue
-        reps.append(Permutation(g))
-        for h in raw:
-            h_inv = inverses[h]
-            conj = tuple(h[g[h_inv[x]]] for x in range(len(g)))
-            seen.add(conj)
-    return reps
+def _conjugacy_representatives(
+    relation: Partition, elements: tuple[Permutation, ...]
+) -> list[Permutation]:
+    """Lex-least representative of each conjugacy class of the full group.
+
+    Two elements of a product of symmetric groups are conjugate exactly
+    when they have the same cycle type on each class, so each element is
+    keyed by its sorted (class, cycle length) pairs.  ``elements`` is
+    sorted, so the first element seen for a key is its lex-least one.
+    """
+    ids = relation.class_id
+    reps: dict[tuple[tuple[int, int], ...], Permutation] = {}
+    for g in elements:
+        key = tuple(sorted((ids[c[0]], len(c)) for c in g.cycles()))
+        reps.setdefault(key, g)
+    return list(reps.values())
 
 
 def brute_min_generators(relation: Partition) -> SearchResult:
@@ -162,7 +165,7 @@ def brute_min_generators(relation: Partition) -> SearchResult:
         return SearchResult(
             optimum=0, witness=(), search_space_size=examined, exhaustive=True
         )
-    reps = _conjugacy_representatives(elements)
+    reps = _conjugacy_representatives(relation, elements)
     for t in range(1, 4):
         for first in reps:
             for rest in itertools.product(elements, repeat=t - 1):
@@ -183,9 +186,15 @@ def brute_min_generators(relation: Partition) -> SearchResult:
 def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:
     """Minimum support-measure sum over generating t-tuples from the full group.
 
-    Scans all |G|^t tuples in lexicographic order, skipping those whose
-    support sum cannot beat the best so far, and decides generation by naive
-    closure; ties keep the first tuple.  The comparison block reports the
+    Simultaneous conjugation keeps each entry's support and whether the
+    tuple generates, so the first entry ranges over conjugacy
+    representatives only.  These candidates are closed, by naive closure,
+    in a stable sort by support total: the first that generates gives the
+    optimum, and every smaller total was closed before it.  It is also the
+    witness a full lexicographic scan of all |G|^t tuples keeps, the first
+    generating tuple at the optimum, because that tuple starts with the
+    lex-least element of its conjugacy class (conjugating it to start
+    there would give an earlier one).  The comparison block reports the
     relation's cost, the gap, and whether the optimum sits strictly above
     it; an infeasible search (no generating t-tuple) yields optimum None.
     """
@@ -200,17 +209,17 @@ def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:
         )
     elements = full_group_elements(relation)
     full_order = len(elements)
-    supports = [len(g.support()) for g in elements]
-    best_total = witness = None
-    for picks in itertools.product(range(len(elements)), repeat=t):
-        total = sum(supports[r] for r in picks)
-        if best_total is not None and total >= best_total:
-            continue
-        tup = tuple(elements[r] for r in picks)
-        if len(naive_closure(tup, n)) == full_order:
-            best_total, witness = total, tup
+    support = {g: len(g.support()) for g in elements}
+    reps = _conjugacy_representatives(relation, elements)
+    pools = [reps] + [elements] * (t - 1) if t else []
+    candidates = sorted(
+        itertools.product(*pools), key=lambda tup: sum(map(support.get, tup))
+    )
+    witness = next(
+        (tup for tup in candidates if len(naive_closure(tup, n)) == full_order), None
+    )
+    optimum = None if witness is None else Fraction(sum(map(support.get, witness)), n)
     rel_cost = cost_relation(relation)
-    optimum = None if best_total is None else Fraction(best_total, n)
     comparison = {
         "relation_cost": frac_str(rel_cost),
         "gap": None if optimum is None else frac_str(optimum - rel_cost),

@@ -13,6 +13,7 @@ from orbitlab import (
     Graphing,
     Partition,
     Permutation,
+    SearchResult,
     SearchSpaceTooLargeError,
     brute_min_generating_support,
     brute_min_generators,
@@ -24,7 +25,40 @@ from orbitlab import (
     generate_relation,
     group_from_generators,
     naive_closure,
+    oracle,
 )
+from orbitlab.core import frac_str
+
+
+def lexicographic_min_support(relation, t):
+    """One scan over all |G|^t tuples in lexicographic order, the reference
+    ``brute_min_generating_support`` must reproduce: prune on the best total
+    so far, keep the first generating tuple at the optimum."""
+    n, elements = relation.n, full_group_elements(relation)
+    best = witness = None
+    for tup in itertools.product(elements, repeat=t):
+        total = sum(len(g.support()) for g in tup)
+        if (best is None or total < best) and len(naive_closure(tup, n)) == len(elements):
+            best, witness = total, tup
+    optimum = None if best is None else Fraction(best, n)
+    cost = cost_relation(relation)
+    comparison = {
+        "relation_cost": frac_str(cost),
+        "gap": None if optimum is None else frac_str(optimum - cost),
+        "strictly_above_cost": None if optimum is None else optimum > cost,
+    }
+    return SearchResult(optimum, witness, len(elements) ** t, True, comparison)
+
+
+def pairwise_conjugacy_representatives(elements):
+    """Lex-least element of each conjugacy class, by conjugating every
+    element by every element."""
+    reps, seen = [], set()
+    for g in elements:
+        if g not in seen:
+            reps.append(g)
+            seen.update(h * g * h.inverse() for h in elements)
+    return reps
 
 
 class TestBruteMinGraphingCost:
@@ -128,6 +162,15 @@ class TestBruteMinGenerators:
         with pytest.raises(SearchSpaceTooLargeError):
             brute_min_generators(Partition.single_class(6))
 
+    def test_representatives_match_pairwise_conjugation(self):
+        # cycle type per class against conjugating by every element, on
+        # every partition of up to 5 points, order included
+        for n in range(1, 6):
+            for rel in all_partitions(n):
+                elems = full_group_elements(rel)
+                got = oracle._conjugacy_representatives(rel, elems)
+                assert got == pairwise_conjugacy_representatives(elems)
+
 
 class TestBruteMinGeneratingSupport:
     def test_symmetric_group_on_four_points_pairs(self):
@@ -199,8 +242,32 @@ class TestBruteMinGeneratingSupport:
         with pytest.raises(SearchSpaceTooLargeError):
             brute_min_generating_support(Partition.single_class(3), -1)
 
+    def test_matches_the_lexicographic_scan(self):
+        # the search over conjugacy representatives by support total reports
+        # what one full scan in lexicographic order reports, on every
+        # partition of up to 5 points
+        for n in range(1, 6):
+            for rel in all_partitions(n):
+                for t in (0, 1, 2):
+                    got = brute_min_generating_support(rel, t).to_json_dict()
+                    assert got == lexicographic_min_support(rel, t).to_json_dict()
+
+    def test_closure_count_on_sym5_pairs(self, monkeypatch):
+        # a deterministic work bound: the full scan closes 755 tuples here
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return naive_closure(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "naive_closure", spy)
+        brute_min_generating_support(Partition.single_class(5), 2)
+        assert len(calls) <= 200
+
     def test_symmetric_group_on_five_points_pinned(self):
-        # the largest group under the caps; both scans keep this witness
+        # the largest group under the caps; the support search (candidates
+        # in order of support total) and the min-gens scan (t = 1, 2, ...)
+        # both start from conjugacy representatives and keep this witness
         rel = Partition.single_class(5)
         witness = ((0, 1, 2, 4, 3), (1, 2, 3, 0, 4))
         pairs = brute_min_generating_support(rel, 2)
