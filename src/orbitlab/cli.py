@@ -19,7 +19,7 @@ import sys
 import time
 import traceback
 
-from .core import Permutation, frac_str
+from .core import Permutation, check_space_cap, frac_str
 from .cycles import make_cycle, orbit_sizes, validate_precycle
 from .group_engine import check_join_generation, generates_full_group
 from .oracle import (
@@ -55,6 +55,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply to parse") from exc
 
 
 def _parse(path: str, parser, what: str):
@@ -75,6 +77,7 @@ def _parse_perm_list(data) -> list[Permutation]:
         raise ValueError(f"generator list 'n' must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"generator list 'n' must be positive, got {n}")
+    check_space_cap(n)
     out = [Permutation.from_json_dict(p) for p in perms]
     for p in out:
         if p.n != n:
@@ -362,13 +365,14 @@ def dispatch(argv: list[str]) -> int:
         "timing_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    # Write the file first, so that stdout holds exactly one report.
     if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             return _fail(command, f"cannot write {out_path}: {exc}")
+    print(text)
     ok = certificates_ok(certificates)
     status = "all certificates true" if ok else "FALSE certificate present"
     if not certificates:

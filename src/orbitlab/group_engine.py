@@ -12,13 +12,15 @@ generators' orbits.
   (Atkinson's minimal-block algorithm) only ever joins points whose
   transposition lies in H.  If the closure fills every class, H is the
   full group of the partition.  No stabilizer chain is built.
-* **Schreier-Sims.**  Otherwise a deterministic stabilizer chain gives the
-  exact order, and membership is decided by sifting.
+* **Sims table.**  Otherwise a stabilizer chain, built as Knuth's Sims
+  table ("Efficient representation of perm groups", Combinatorica 11,
+  1991), gives the exact order, and membership is decided by sifting.
 
-The chain construction is deterministic and seedless: base points are
-chosen as the least moved points, orbits are scanned in increasing point
-order, and transversals only ever extend, so identical generator lists
-(in identical order) yield identical chains, orders, and certificates.
+The chain is deterministic and seedless: each new level's base point is
+the least point moved by the first element to reach it, and one
+last-in-first-out work stack fixes the order in which pairs are examined,
+so identical generator lists (in identical order) yield identical chains,
+orders, and certificates.
 
 Internally permutations are raw image tuples; the dataclass wrapper from
 :mod:`.core` appears only at the API boundary.
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from collections import deque
 from typing import Iterable, Sequence
 
 from .core import Permutation, SpaceMismatchError
@@ -54,108 +55,66 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Chain:
-    """Stabilizer chain with extend-only transversals.
+    """Knuth's Sims table, closed with one work stack instead of recursion.
 
-    Level ``j`` holds the strong generators fixing the first ``j`` base
-    points, the orbit of ``base[j]`` under them, and a transversal mapping
-    each orbit point to a group element carrying ``base[j]`` there.  Every
-    (orbit point, generator) pair is examined exactly once; pairs checked
-    earlier stay valid because generator lists and transversals only grow,
-    so membership of their Schreier elements in the deeper groups is
-    preserved.
+    Level ``j`` has a base point, its own generator list, and a transversal
+    (with inverses) sending ``base[j]`` to each point of its orbit under
+    those generators.  An element offered to a level joins that level only,
+    and only if it does not already sift to the identity from there.  Each
+    (generator, representative) pair of a level is examined once: its
+    product either reaches a new orbit point and becomes its
+    representative, or gives a Schreier element, offered to the next level.
+    Pairs wait on a last-in-first-out stack, so every level deeper than the
+    one being closed is complete whenever an element is offered to it, and
+    the sift that decides whether the element joins is exact.
     """
 
     def __init__(self, n: int):
-        self.n = n
         self.identity = tuple(range(n))
         self.base: list[int] = []
         self.gens: list[list[tuple[int, ...]]] = []
         self.transversals: list[dict[int, tuple[int, ...]]] = []
         self.trans_inv: list[dict[int, tuple[int, ...]]] = []
-        self.pending: list[deque] = []
+        self._pairs: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
 
     def order(self) -> int:
         return math.prod(len(t) for t in self.transversals)
 
-    def strip(self, p: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
-        """Sift through levels ``start..``; return (residue, drop level)."""
+    def strip(self, p: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
+        """Sift through levels ``start..``; return the residue."""
         for j in range(start, len(self.base)):
             u_inv = self.trans_inv[j].get(p[self.base[j]])
             if u_inv is None:
-                return p, j
+                return p
             p = _mul(u_inv, p)
-        return p, len(self.base)
+        return p
 
     def add(self, p: tuple[int, ...]) -> None:
-        if p == self.identity:
-            return
-        residue, drop = self.strip(p)
-        if residue == self.identity:
-            return
-        self._install(residue, drop)
-        self._process_pending()
+        self._offer(0, p)
+        pairs = self._pairs
+        while pairs:
+            j, g, u = pairs.pop()
+            tinv = self.trans_inv[j]
+            pt = g[u[self.base[j]]]
+            if pt in tinv:
+                self._offer(j + 1, _mul(tinv[pt], _mul(g, u)))
+            else:
+                rep = _mul(g, u)
+                self.transversals[j][pt] = rep
+                tinv[pt] = _inv(rep)
+                pairs.extend((j, h, rep) for h in self.gens[j])
 
-    def _install(self, residue: tuple[int, ...], drop: int) -> None:
-        # The residue fixes base[0..drop-1]; it joins every level up to drop.
-        if drop == len(self.base):
-            b = min(x for x, y in enumerate(residue) if x != y)
+    def _offer(self, j: int, g: tuple[int, ...]) -> None:
+        if self.strip(g, j) == self.identity:
+            return
+        if j == len(self.base):
+            b = min(x for x, y in enumerate(g) if x != y)
             self.base.append(b)
             self.gens.append([])
             self.transversals.append({b: self.identity})
             self.trans_inv.append({b: self.identity})
-            self.pending.append(deque())
-        for j in range(drop + 1):
-            self._add_gen_at(j, residue)
-
-    def _add_gen_at(self, j: int, g: tuple[int, ...]) -> None:
-        for pt in sorted(self.transversals[j]):
-            self.pending[j].append((pt, g))
         self.gens[j].append(g)
-        self._close_orbit(j)
-
-    def _close_orbit(self, j: int) -> None:
-        # Increasing-point scans; existing coset representatives are kept.
-        trans = self.transversals[j]
-        tinv = self.trans_inv[j]
-        gens = self.gens[j]
-        pend = self.pending[j]
-        frontier = sorted(trans)
-        while frontier:
-            new_pts = []
-            for pt in frontier:
-                u = trans[pt]
-                for g in gens:
-                    img = g[pt]
-                    if img not in trans:
-                        rep = _mul(g, u)
-                        trans[img] = rep
-                        tinv[img] = _inv(rep)
-                        new_pts.append(img)
-                        for h in gens:
-                            pend.append((img, h))
-            frontier = sorted(new_pts)
-
-    def _process_pending(self) -> None:
-        while True:
-            for j in range(len(self.base) - 1, -1, -1):
-                if self.pending[j]:
-                    break
-            else:
-                return
-            pend = self.pending[j]
-            trans = self.transversals[j]
-            tinv = self.trans_inv[j]
-            while pend:
-                pt, g = pend.popleft()
-                schreier = _mul(tinv[g[pt]], _mul(g, trans[pt]))
-                if schreier == self.identity:
-                    continue
-                residue, drop = self.strip(schreier, j + 1)
-                if residue == self.identity:
-                    continue
-                self._install(residue, drop)
-                break  # re-select: the install may have queued deeper work
-            # outer loop re-selects the deepest pending level
+        self._pairs.extend((j, g, u) for u in reversed(self.transversals[j].values()))
 
 
 class PermGroup:
@@ -164,7 +123,7 @@ class PermGroup:
     Every generator, a raw image tuple, must preserve the classes of
     ``blocks``.  When their transposition closure fills every class, the
     group is the full group of ``blocks`` and ``contains`` is the O(n)
-    class check; otherwise a Schreier-Sims chain gives the order and
+    class check; otherwise a Sims table gives the order and
     ``contains`` sifts.  Safe to share across threads once constructed.
     """
 
@@ -187,7 +146,7 @@ class PermGroup:
             return in_full_group(perm, self._blocks)
         if perm.n != self.n:
             raise SpaceMismatchError(f"space sizes differ: {perm.n} != {self.n}")
-        return self._chain.strip(perm.images)[0] == self._chain.identity
+        return self._chain.strip(perm.images) == self._chain.identity
 
     def __contains__(self, perm: Permutation) -> bool:
         return self.contains(perm)

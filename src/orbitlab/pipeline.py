@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import PartialInjection, Permutation, compose, frac_str, uniform_distance
+from .core import (
+    MAX_POINTS,
+    PartialInjection,
+    Permutation,
+    compose,
+    frac_str,
+    uniform_distance,
+)
 from .cycles import PrePCycle, make_cycle, orbit_sizes
 from .group_engine import generates_full_group
 from .relations import (
@@ -66,6 +73,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if self.n_points > MAX_POINTS:
+            raise ConfigError(f"n_points must be at most {MAX_POINTS}, got {self.n_points}")
         if self.p < 3 or self.p % 2 == 0:
             raise ConfigError(f"p must be odd and at least 3, got {self.p}")
         if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):

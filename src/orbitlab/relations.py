@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import PartialInjection, Permutation, SpaceMismatchError
+from .core import PartialInjection, Permutation, SpaceMismatchError, check_space_cap
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class Partition:
             raise ValueError(f"space size must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"space size must be positive, got {n}")
+        check_space_cap(n)
         ids = [-1] * n
         for block in classes:
             pts = sorted(block)
@@ -139,6 +140,7 @@ class Graphing:
         object.__setattr__(self, "maps", maps)
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"space size must be a positive integer, got {self.n!r}")
+        check_space_cap(self.n)
         for i, phi in enumerate(maps):
             if phi.n != self.n:
                 raise SpaceMismatchError(

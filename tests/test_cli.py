@@ -6,12 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
-from orbitlab.cli import dispatch, main
+from orbitlab.cli import _build_parser, dispatch, main
+from orbitlab.core import MAX_POINTS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TOP_KEYS = {"schema_version", "command", "inputs", "results", "certificates", "timing_ms"}
@@ -401,6 +403,85 @@ class TestOracle:
         on_disk.pop("timing_ms")
         report.pop("timing_ms")
         assert on_disk == report
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["oracle", "min-cost", "--relation", "{rel}"], id="oracle"),
+            pytest.param(["pipeline", "--n", "1", "--N", "10", "--p", "3", "--m", "1"], id="pipeline"),
+        ],
+    )
+    def test_write_failure_prints_one_report(self, capsys, tmp_path, sym4_file, argv):
+        out = tmp_path / "missing" / "report.json"
+        argv = [a.format(rel=sym4_file) for a in argv] + ["--out", str(out)]
+        code, report, _ = run_cli(capsys, argv)  # stdout must parse as one document
+        assert code == 2
+        assert report["error"].startswith(f"cannot write {out}")
+        assert "results" not in report
+        assert not out.exists()
+
+
+class TestBoundedInput:
+    """Inputs too deep to parse or too large to index exit 2, before any work."""
+
+    def test_deeply_nested_json_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, report, err = run_cli(capsys, ["relation", "cost", "--relation", str(path)])
+        assert code == 2
+        assert "nested too deeply" in report["error"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [2**70, MAX_POINTS + 1], ids=["2^70", "cap+1"])
+    @pytest.mark.parametrize(
+        "argv, obj",
+        [
+            pytest.param(
+                ["relation", "cost", "--relation"], {"classes": []}, id="relation-cost"
+            ),
+            pytest.param(
+                ["relation", "generate", "--graphing"], {"maps": []}, id="relation-generate"
+            ),
+            pytest.param(
+                ["verify", "generation", "--relation", "{sym4}", "--gens"],
+                {"perms": []},
+                id="verify-generation",
+            ),
+            pytest.param(
+                ["verify", "membership", "--relation", "{sym4}", "--perm"],
+                {"images": []},
+                id="verify-membership",
+            ),
+            pytest.param(["pipeline", "--n", "1", "--p", "3", "--m", "1", "--N"], None, id="pipeline"),
+        ],
+    )
+    def test_space_past_the_cap_is_refused(self, capsys, tmp_path, sym4_file, n, argv, obj):
+        argv = [a.format(sym4=sym4_file) for a in argv]
+        if obj is None:
+            argv.append(str(n))
+        else:
+            argv.append(write_json(tmp_path, "big.json", {"n": n, **obj}))
+        _build_parser()  # built once per process; not part of the refusal
+        tracemalloc.start()
+        try:
+            code = dispatch(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2
+        assert str(MAX_POINTS) in report["error"]
+        assert "Traceback" not in captured.err
+        assert peak < 4 * MAX_POINTS  # less than one list slot per point
+
+    def test_map_past_the_cap_is_refused(self, capsys, tmp_path):
+        path = write_json(tmp_path, "g.json", {"n": 3, "maps": [{"n": MAX_POINTS + 1, "pairs": []}]})
+        code, report, _ = run_cli(capsys, ["relation", "generate", "--graphing", path])
+        assert code == 2
+        assert str(MAX_POINTS) in report["error"]
 
 
 class TestStrictIntegers:

@@ -7,8 +7,10 @@ full groups by transposition closure and builds a chain otherwise, is
 cross-checked against both.
 """
 
+import inspect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from orbitlab.group_engine import _Chain, _transposition_closure_is_full, _trans
 
 
 def chain_of(gens, n):
-    """The Schreier-Sims chain of the generators, built directly."""
+    """The Sims table of the generators, built directly."""
     chain = _Chain(n)
     for g in gens:
         chain.add(g.images)
@@ -42,7 +44,7 @@ def chain_of(gens, n):
 
 def sifts(chain, perm):
     """Membership by sifting through the chain."""
-    return chain.strip(perm.images)[0] == chain.identity
+    return chain.strip(perm.images) == chain.identity
 
 
 def sym_gens(n):
@@ -260,6 +262,37 @@ class TestGroupFromGenerators:
             assert p in g
         with pytest.raises(SpaceMismatchError):
             g.contains(Permutation.identity(4))
+
+    @pytest.mark.parametrize("b, k", [(2, 10), (4, 6), (6, 4)])
+    def test_wreath_products_past_naive_closure(self, b, k):
+        # Sym(b) wr Sym(k): Sym(b) on block 0, plus a block cycle and a block swap.
+        n = b * k
+        blocks = [tuple(range(i * b, (i + 1) * b)) for i in range(k)]
+        gens = (
+            Permutation.from_cycles(n, [blocks[0]]),
+            Permutation.from_cycles(n, [blocks[0][:2]]),
+            Permutation.from_cycles(n, [tuple(blk[j] for blk in blocks) for j in range(b)]),
+            Permutation.from_cycles(n, [(blocks[0][j], blocks[1][j]) for j in range(b)]),
+        )
+        order = math.factorial(b) ** k * math.factorial(k)
+        assert order > inspect.signature(naive_closure).parameters["cap"].default
+        group = group_from_generators(gens)
+        assert group._chain is not None
+        assert group.order == order
+        keeps_blocks = Permutation.from_cycles(
+            n, [(blocks[0][j], blocks[2][j]) for j in range(b)] + [blocks[1][:2]]
+        )
+        assert keeps_blocks in group
+        assert Permutation.from_cycles(n, [(blocks[0][0], blocks[1][0])]) not in group
+
+    def test_cycle_longer_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 1
+        c = Permutation.from_cycles(n, [tuple(range(n))])
+        group = group_from_generators((c,))
+        assert group._chain is not None
+        assert group.order == n
+        assert c ** 7 in group
+        assert Permutation.from_cycles(n, [(0, 1)]) not in group
 
     def test_klein_four_group(self):
         a = Permutation.from_cycles(4, [(0, 1), (2, 3)])

@@ -27,6 +27,7 @@ from orbitlab import (
     split_graphing,
 )
 from orbitlab import group_engine
+from orbitlab.core import MAX_POINTS
 
 
 def small_config(**overrides):
@@ -72,6 +73,12 @@ class TestPipelineConfig:
         # budget and layout pass but 2/12 >= 1 - (5/2)*(1/2)
         with pytest.raises(ConfigError, match="support"):
             PipelineConfig(n_cycles=1, n_points=12, p=3, m=2)
+
+    def test_space_is_capped(self):
+        assert PipelineConfig(n_cycles=1, n_points=MAX_POINTS, p=3, m=1).n_points == MAX_POINTS
+        for n_points in (MAX_POINTS + 1, 2**70):
+            with pytest.raises(ConfigError, match="at most"):
+                PipelineConfig(n_cycles=1, n_points=n_points, p=3, m=1)
 
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="seed"):
