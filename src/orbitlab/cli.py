@@ -18,6 +18,7 @@ import json
 import sys
 import time
 import traceback
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Permutation, check_space_cap, frac_str
 from .cycles import make_cycle, orbit_sizes, validate_precycle
@@ -83,6 +84,64 @@ def _parse_perm_list(data) -> list[Permutation]:
         if p.n != n:
             raise ValueError(f"permutation on {p.n} points, header says {n}")
     return out
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    ``indent`` is a newline plus the current indentation.  Only what a
+    report holds is written; anything else raises ``TypeError``.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value))  # reports hold finite floats only
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
+
+
+def _report_text(report: dict) -> str:
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes it."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    return "".join(out)
 
 
 def _module_prefix(exc: BaseException) -> str | None:
@@ -364,7 +423,7 @@ def dispatch(argv: list[str]) -> int:
         "certificates": certificates,
         "timing_ms": round((time.perf_counter() - start) * 1000, 3),
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _report_text(report)
     # Write the file first, so that stdout holds exactly one report.
     if out_path is not None:
         try:
@@ -390,7 +449,7 @@ def _fail(command: str, message: str) -> int:
         "command": command,
         "error": message,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_report_text(report))
     print(f"orbitlab {command}: error: {message}", file=sys.stderr)
     return 2
 

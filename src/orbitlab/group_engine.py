@@ -272,10 +272,12 @@ def generates_full_group(
     target = full_group_order(relation)
     ok = in_fg and order == target
     # Decimal prints every digit: str(int) refuses more than 4 300 of them.
+    # The conversion is about quadratic in the digits, so equal orders share it.
+    target_text = str(decimal.Decimal(target))
     return ok, {
         "in_full_group": in_fg,
-        "generated_order": str(decimal.Decimal(order)),
-        "full_group_order": str(decimal.Decimal(target)),
+        "generated_order": target_text if order == target else str(decimal.Decimal(order)),
+        "full_group_order": target_text,
         "generates": ok,
     }
 

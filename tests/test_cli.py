@@ -1,6 +1,7 @@
 """Command line interface: report schema, exit codes, determinism, errors."""
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -11,9 +12,12 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from orbitlab.cli import _build_parser, dispatch, main
+from orbitlab.cli import _build_parser, _report_text, dispatch, main
 from orbitlab.core import MAX_POINTS
+from orbitlab.pipeline import MAX_CHAINS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TOP_KEYS = {"schema_version", "command", "inputs", "results", "certificates", "timing_ms"}
@@ -477,6 +481,15 @@ class TestBoundedInput:
         assert "Traceback" not in captured.err
         assert peak < 4 * MAX_POINTS  # less than one list slot per point
 
+    @pytest.mark.parametrize("n", [2**70, MAX_CHAINS + 1], ids=["2^70", "cap+1"])
+    def test_chain_count_past_the_cap_is_refused(self, capsys, n):
+        code, report, err = run_cli(
+            capsys, ["pipeline", "--n", str(n), "--N", "12", "--p", "3", "--m", "1"]
+        )
+        assert code == 2
+        assert report["error"] == f"pipeline: n_cycles must be at most {MAX_CHAINS}, got {n}"
+        assert "Traceback" not in err
+
     def test_map_past_the_cap_is_refused(self, capsys, tmp_path):
         path = write_json(tmp_path, "g.json", {"n": 3, "maps": [{"n": MAX_POINTS + 1, "pairs": []}]})
         code, report, _ = run_cli(capsys, ["relation", "generate", "--graphing", path])
@@ -589,6 +602,100 @@ class TestDispatchBasics:
         )
         assert main() == 0
         capsys.readouterr()
+
+
+# Strings and keys heavy in what JSON escapes: quotes, backslashes, control
+# characters, non-ASCII, astral characters and lone surrogates.
+TRICKY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff\xe9\U0001f600 a'),
+        st.characters(exclude_categories=()),
+    )
+)
+REPORT_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 1e16, 0.1, -2.5e-300])
+    | TRICKY_TEXT,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers())
+    | st.lists(st.one_of(st.integers(), st.booleans(), st.none()))
+    | st.dictionaries(TRICKY_TEXT, inner),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    """Reports are written with the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @given(REPORT_VALUES)
+    @example({"b": [1, True, 2], "a": {"": [], "x": {}}, "\u00e9\"": (0, -0.0, None)})
+    @example([[1, 2, 3], [False, 1], (), [10**100]])
+    def test_matches_json_dumps(self, value):
+        assert _report_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {(1, 2): 1}, {"a": {2: [1]}}, [{0: 0}]],
+    )
+    def test_non_string_keys_raise(self, value):
+        with pytest.raises(TypeError):
+            _report_text(value)
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), {"a": [frozenset()]}])
+    def test_values_a_report_never_holds_raise(self, value):
+        with pytest.raises(TypeError):
+            _report_text(value)
+
+    def test_every_command_prints_json_dumps_bytes(self, capsys, tmp_path, chain_file, sym4_file):
+        perm = write_json(tmp_path, "p.json", {"n": 4, "images": [1, 0, 2, 3]})
+        gens = write_json(tmp_path, "gens.json", {"n": 4, "perms": [{"n": 4, "images": [1, 0, 2, 3]}]})
+        pair = write_json(tmp_path, "pair.json", {"n": 4, "classes": [[0, 1], [2], [3]]})
+        argvs = [
+            (["validate-precycle", "--in", chain_file], 0),
+            (["make-cycle", "--in", chain_file], 0),
+            (["relation", "generate", "--graphing", chain_file], 0),
+            (["relation", "cost", "--relation", sym4_file], 0),
+            (["relation", "join", "--relation", sym4_file, "--relation", pair], 0),
+            (["verify", "membership", "--perm", perm, "--relation", sym4_file], 0),
+            (["verify", "generation", "--gens", gens, "--relation", sym4_file], 1),
+            (["verify", "join-generation", "--relation", pair, "--relation", pair], 0),
+            (["pipeline", "--n", "2", "--N", "20", "--p", "3", "--m", "1"], 0),
+            (["oracle", "min-cost", "--relation", sym4_file], 0),
+            (["oracle", "min-gens", "--relation", sym4_file], 0),
+            (["oracle", "min-support", "--relation", sym4_file, "--t", "2"], 0),
+            (["pipeline", "--n", "1", "--N", "10", "--p", "4", "--m", "1"], 2),
+        ]
+        for argv, want in argvs:
+            assert dispatch(argv) == want, argv
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["pipeline", "--n", "2", "--N", "20", "--p", "3", "--m", "1"], id="pipeline"),
+            pytest.param(["oracle", "min-support", "--relation", "{rel}", "--t", "2"], id="oracle"),
+        ],
+    )
+    def test_no_cyclic_garbage_per_request(self, capsys, sym4_file, argv):
+        argv = [a.format(rel=sym4_file) for a in argv]
+        assert dispatch(argv) == 0  # warm: the parser and any caches exist now
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()  # so no automatic collection frees a cycle first
+        try:
+            assert dispatch(argv) == 0
+            unreachable = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert unreachable == 0
 
 
 ROOT_HELP = """\

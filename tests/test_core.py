@@ -68,6 +68,25 @@ class TestPermutation:
         with pytest.raises(SpaceMismatchError):
             Permutation.identity(3) * Permutation.identity(4)
 
+    def test_products_match_the_validating_constructor(self):
+        """``*``, ``**`` and ``inverse`` skip the bijection check; their
+        results must equal permutations built through it."""
+        rng = random.Random(16)
+        for _ in range(50):
+            n = rng.randint(1, 30)
+            t, u = random_permutation(rng, n), random_permutation(rng, n)
+            k = rng.randint(-7, 40)
+            product = Permutation(tuple(t.images[u.images[x]] for x in range(n)))
+            inverse = Permutation(tuple(t.images.index(y) for y in range(n)))
+            power = Permutation(tuple(range(n)))
+            for _ in range(abs(k)):
+                power = Permutation(tuple((t if k > 0 else inverse).images[x] for x in power.images))
+            for fast, slow in ((t * u, product), (t.inverse(), inverse), (t**k, power)):
+                assert fast == slow and hash(fast) == hash(slow)
+                assert type(fast.images) is tuple
+        with pytest.raises(ValueError, match="bijection"):
+            Permutation((0, 0, 1))
+
 
 class TestPartialInjection:
     def test_pairs_are_canonically_sorted(self):

@@ -26,8 +26,9 @@ from orbitlab import (
     run_pipeline,
     split_graphing,
 )
-from orbitlab import group_engine
+from orbitlab import generates_full_group, group_engine, pipeline
 from orbitlab.core import MAX_POINTS
+from orbitlab.pipeline import MAX_CHAINS
 
 
 def small_config(**overrides):
@@ -80,6 +81,12 @@ class TestPipelineConfig:
             with pytest.raises(ConfigError, match="at most"):
                 PipelineConfig(n_cycles=1, n_points=n_points, p=3, m=1)
 
+    def test_chain_count_is_capped(self):
+        assert small_config(n_cycles=MAX_CHAINS).n_cycles == MAX_CHAINS
+        for n_cycles in (MAX_CHAINS + 1, 2**70):
+            with pytest.raises(ConfigError, match=f"at most {MAX_CHAINS}"):
+                small_config(n_cycles=n_cycles)
+
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="seed"):
             small_config(seed=-1)
@@ -111,6 +118,32 @@ class TestBuildMatuiPair:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             build_matui_pair(2)
+
+    def test_pair_generates_the_symmetric_group(self):
+        """The pair is proved through the public route, past any naive closure."""
+        n_points = 5000
+        ok, cert = generates_full_group(
+            list(build_matui_pair(n_points)), Partition.single_class(n_points)
+        )
+        assert ok and cert["generates"] is True
+        for field in ("generated_order", "full_group_order"):
+            assert decimal.Decimal(cert[field]) == math.factorial(n_points)
+
+    @pytest.mark.parametrize("mode, calls", [("a", 4), ("b", 1), ("both", 5)])
+    def test_pipeline_does_not_certify_the_pair_in_line(self, monkeypatch, mode, calls):
+        """Only reported certificates are computed: never the bare pair."""
+        seen = []
+
+        def spy(gens, relation):
+            seen.append(list(gens))
+            return generates_full_group(gens, relation)
+
+        monkeypatch.setattr(pipeline, "generates_full_group", spy)
+        report = run_pipeline(PipelineConfig(n_cycles=2, n_points=16, p=3, m=1), mode=mode)
+        assert report.all_certificates_true()
+        pair = list(build_matui_pair(16))
+        assert len(seen) == calls
+        assert pair not in seen
 
 
 class TestSplitGraphing:
