@@ -18,6 +18,7 @@ import json
 import sys
 import time
 import traceback
+from json.encoder import INFINITY as _INF
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Permutation, check_space_cap, frac_str
@@ -103,7 +104,15 @@ def _write(value, indent: str, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(float.__repr__(value))  # reports hold finite floats only
+        # input echoed into a report may hold 1e999 or NaN; write them as json does
+        if value != value:
+            out.append("NaN")
+        elif value == _INF:
+            out.append("Infinity")
+        elif value == -_INF:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -124,9 +133,6 @@ def _write(value, indent: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        if set(map(type, value)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)

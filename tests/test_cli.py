@@ -3,6 +3,7 @@
 import argparse
 import gc
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -617,8 +618,8 @@ REPORT_VALUES = st.recursive(
     | st.booleans()
     | st.integers()
     | st.integers(min_value=-(10**300), max_value=10**300)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 1e16, 0.1, -2.5e-300])
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 1e16, 0.1, -2.5e-300, math.inf, -math.inf, math.nan])
     | TRICKY_TEXT,
     lambda inner: st.lists(inner)
     | st.lists(inner).map(tuple)
@@ -674,6 +675,15 @@ class TestReportWriter:
             assert dispatch(argv) == want, argv
             out = capsys.readouterr().out
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+    def test_echoed_non_finite_floats_print_json_dumps_bytes(self, capsys, tmp_path):
+        # json.load reads 1e999 as infinity and accepts NaN; unknown keys are echoed
+        path = tmp_path / "rel.json"
+        path.write_text('{"n": 2, "classes": [[0, 1]], "x": [1e999, -1e999, NaN, 0.5]}')
+        assert dispatch(["relation", "cost", "--relation", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"x": [\n        Infinity,\n        -Infinity,\n        NaN,\n        0.5\n' in out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "argv",
