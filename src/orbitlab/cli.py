@@ -42,7 +42,7 @@ from .relations import (
     join,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class InputError(ValueError):
@@ -67,6 +67,12 @@ def _parse(path: str, parser, what: str):
         return data, parser(data)
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path} is not a valid {what}: {exc}") from exc
+
+
+def _parse_relations(paths: list[str]) -> tuple[list, list[Partition]]:
+    """Parse every ``--relation`` file; return their data and their partitions."""
+    parsed = [_parse(path, Partition.from_json_dict, "partition") for path in paths]
+    return [data for data, _ in parsed], [rel for _, rel in parsed]
 
 
 def _parse_perm_list(data) -> list[Permutation]:
@@ -169,34 +175,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "injections, generated relations, full groups, chain cycles, "
         "certified generator pipelines, and brute-force oracles.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="recorded in the report; current constructions are deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    vp = sub.add_parser(
-        "validate-precycle", parents=[common], help="check the chain conditions"
-    )
+    vp = sub.add_parser("validate-precycle", help="check the chain conditions")
     vp.add_argument("--in", dest="infile", required=True, metavar="GRAPHING_JSON")
 
-    mc = sub.add_parser(
-        "make-cycle", parents=[common], help="close a valid chain into its cycle"
-    )
+    mc = sub.add_parser("make-cycle", help="close a valid chain into its cycle")
     mc.add_argument("--in", dest="infile", required=True, metavar="PRECYCLE_JSON")
 
     rel = sub.add_parser("relation", help="generated relations, costs, joins")
     relsub = rel.add_subparsers(dest="action", required=True)
-    rg = relsub.add_parser("generate", parents=[common])
+    rg = relsub.add_parser("generate")
     rg.add_argument("--graphing", required=True, metavar="GRAPHING_JSON")
-    rc = relsub.add_parser("cost", parents=[common])
+    rc = relsub.add_parser("cost")
     src = rc.add_mutually_exclusive_group(required=True)
     src.add_argument("--graphing", metavar="GRAPHING_JSON")
     src.add_argument("--relation", metavar="PARTITION_JSON")
-    rj = relsub.add_parser("join", parents=[common])
+    rj = relsub.add_parser("join")
     rj.add_argument(
         "--relation",
         action="append",
@@ -207,13 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="full-group membership and generation")
     versub = ver.add_subparsers(dest="action", required=True)
-    vm = versub.add_parser("membership", parents=[common])
+    vm = versub.add_parser("membership")
     vm.add_argument("--perm", required=True, metavar="PERM_JSON")
     vm.add_argument("--relation", required=True, metavar="PARTITION_JSON")
-    vg = versub.add_parser("generation", parents=[common])
+    vg = versub.add_parser("generation")
     vg.add_argument("--gens", required=True, metavar="GENS_JSON")
     vg.add_argument("--relation", required=True, metavar="PARTITION_JSON")
-    vj = versub.add_parser("join-generation", parents=[common])
+    vj = versub.add_parser("join-generation")
     vj.add_argument(
         "--relation",
         action="append",
@@ -222,9 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PARTITION_JSON",
     )
 
-    pl = sub.add_parser(
-        "pipeline", parents=[common], help="build and certify generator sets"
-    )
+    pl = sub.add_parser("pipeline", help="build and certify generator sets")
     pl.add_argument("--n", type=int, required=True, help="number of chains")
     pl.add_argument("--N", type=int, required=True, dest="n_points", help="space size")
     pl.add_argument("--p", type=int, required=True, help="odd chain parameter")
@@ -236,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="exhaustive searches at tiny sizes")
     orcsub = orc.add_subparsers(dest="action", required=True)
     for name in ("min-cost", "min-gens", "min-support"):
-        op = orcsub.add_parser(name, parents=[common])
+        op = orcsub.add_parser(name)
         op.add_argument("--relation", required=True, metavar="PARTITION_JSON")
         if name == "min-support":
             op.add_argument("--t", type=int, required=True, help="tuple length")
@@ -256,8 +249,7 @@ def _cmd_validate_precycle(args):
         message = f"{prefix}: {exc}" if prefix else str(exc)
         cert = {"valid": False, "p": None, "error": message}
         results = {"n": graphing.n, "p": None}
-    inputs = {"in": data, "seed": args.seed}
-    return inputs, results, [{"name": "precycle_valid", "certificate": cert}]
+    return {"in": data}, results, [{"name": "precycle_valid", "certificate": cert}]
 
 
 def _cmd_make_cycle(args):
@@ -269,7 +261,7 @@ def _cmd_make_cycle(args):
         "orbit_sizes": list(orbit_sizes(cycle)),
         "p": pre.p,
     }
-    return {"in": data, "seed": args.seed}, results, []
+    return {"in": data}, results, []
 
 
 def _cmd_relation(args):
@@ -283,7 +275,7 @@ def _cmd_relation(args):
             "cost_graphing": frac_str(cost_graphing(graphing)),
             "cost_relation": frac_str(cost_relation(rel)),
         }
-        inputs = {"graphing": data, "seed": args.seed}
+        inputs = {"graphing": data}
     elif args.action == "cost":
         if args.graphing is not None:
             data, graphing = _parse(args.graphing, Graphing.from_json_dict, "graphing")
@@ -292,24 +284,20 @@ def _cmd_relation(args):
                 "cost_graphing": frac_str(cost_graphing(graphing)),
                 "cost_relation": frac_str(cost_relation(rel)),
             }
-            inputs = {"graphing": data, "relation": None, "seed": args.seed}
+            inputs = {"graphing": data, "relation": None}
         else:
             data, rel = _parse(args.relation, Partition.from_json_dict, "partition")
             results = {"cost_relation": frac_str(cost_relation(rel))}
-            inputs = {"graphing": None, "relation": data, "seed": args.seed}
+            inputs = {"graphing": None, "relation": data}
     else:  # join
-        datas, rels = [], []
-        for path in args.relations:
-            data, rel = _parse(path, Partition.from_json_dict, "partition")
-            datas.append(data)
-            rels.append(rel)
+        datas, rels = _parse_relations(args.relations)
         joined = join(rels)
         results = {
             "relation": joined.to_json_dict(),
             "num_classes": joined.num_classes,
             "cost_relation": frac_str(cost_relation(joined)),
         }
-        inputs = {"relations": datas, "seed": args.seed}
+        inputs = {"relations": datas}
     return inputs, results, []
 
 
@@ -318,28 +306,23 @@ def _cmd_verify(args):
         pdata, perm = _parse(args.perm, Permutation.from_json_dict, "permutation")
         rdata, rel = _parse(args.relation, Partition.from_json_dict, "partition")
         cert = {"in_full_group": in_full_group(perm, rel)}
-        inputs = {"perm": pdata, "relation": rdata, "seed": args.seed}
+        inputs = {"perm": pdata, "relation": rdata}
         return inputs, {}, [{"name": "membership", "certificate": cert}]
     if args.action == "generation":
         gdata, gens = _parse(args.gens, _parse_perm_list, "generator list")
         rdata, rel = _parse(args.relation, Partition.from_json_dict, "partition")
         _, cert = generates_full_group(gens, rel)
-        inputs = {"gens": gdata, "relation": rdata, "seed": args.seed}
+        inputs = {"gens": gdata, "relation": rdata}
         return inputs, {}, [{"name": "generation", "certificate": cert}]
     # join-generation
-    datas, rels = [], []
-    for path in args.relations:
-        data, rel = _parse(path, Partition.from_json_dict, "partition")
-        datas.append(data)
-        rels.append(rel)
+    datas, rels = _parse_relations(args.relations)
     _, cert = check_join_generation(rels)
-    inputs = {"relations": datas, "seed": args.seed}
+    inputs = {"relations": datas}
     return inputs, {}, [{"name": "join_generation", "certificate": cert}]
 
 
 def _cmd_pipeline(args):
-    graphing = None
-    gdata = None
+    gdata = graphing = None
     if args.graphing is not None:
         gdata, graphing = _parse(args.graphing, Graphing.from_json_dict, "graphing")
     try:
@@ -349,7 +332,6 @@ def _cmd_pipeline(args):
             p=args.p,
             m=args.m,
             graphing=graphing,
-            seed=args.seed,
         )
     except ConfigError as exc:
         raise InputError(f"pipeline: {exc}") from exc
@@ -361,10 +343,14 @@ def _cmd_pipeline(args):
                 certificates.append({"name": f"isopgen_cycle_{i}", "certificate": cert})
         else:
             certificates.append({"name": name, "certificate": value})
-    inputs = config.to_json_dict()
-    inputs["mode"] = args.mode
-    if gdata is not None:
-        inputs["graphing"] = gdata
+    inputs = {
+        "n": args.n,
+        "N": args.n_points,
+        "p": args.p,
+        "m": args.m,
+        "mode": args.mode,
+        "graphing": gdata,
+    }
     return inputs, report.to_json_dict(), certificates, args.out
 
 
@@ -381,7 +367,7 @@ def _cmd_oracle(args):
             result = brute_min_generating_support(rel, args.t)
     except SearchSpaceTooLargeError as exc:
         raise InputError(f"oracle: {exc}") from exc
-    inputs = {"relation": data, "seed": args.seed}
+    inputs = {"relation": data}
     if args.action == "min-support":
         inputs["t"] = args.t
     return inputs, result.to_json_dict(), [], args.out

@@ -178,9 +178,13 @@ def brute_min_generators(relation: Partition) -> SearchResult:
                         search_space_size=examined,
                         exhaustive=True,
                     )
-    raise RuntimeError(
+    # Unreachable under the cap: with n <= 5 at most 2 classes have 2 or
+    # more points, and a product of at most 2 symmetric groups has 2
+    # generators.  k such classes need at least k (the abelianization is
+    # C2^k; Sym(2)^k needs exactly k), so a higher cap needs a larger t.
+    raise RuntimeError(  # pragma: no cover
         f"no generating tuple of size <= 3 found for a group of order {full_order}"
-    )  # pragma: no cover - direct products of symmetric groups need at most 2
+    )
 
 
 def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:

@@ -72,7 +72,6 @@ class PipelineConfig:
     p: int
     m: int
     graphing: Graphing | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("n_cycles", "n_points", "p", "m"):
@@ -85,8 +84,6 @@ class PipelineConfig:
             raise ConfigError(f"n_points must be at most {MAX_POINTS}, got {self.n_points}")
         if self.p < 3 or self.p % 2 == 0:
             raise ConfigError(f"p must be odd and at least 3, got {self.p}")
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         c = self.cost_per_cycle
         if Fraction(self.p + 2, self.p) * c >= 1:
             raise ConfigError(
@@ -126,16 +123,6 @@ class PipelineConfig:
             tuple(range(2 + j * self.m, 2 + (j + 1) * self.m))
             for j in range(self.p + 2)
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_cycles,
-            "N": self.n_points,
-            "p": self.p,
-            "m": self.m,
-            "graphing": None if self.graphing is None else self.graphing.to_json_dict(),
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -180,26 +167,22 @@ class GeneratorSet:
 class PipelineReport:
     """Everything a run produced: generators, chains, certificates, costs."""
 
-    config: PipelineConfig
     mode: str
     generators: GeneratorSet
     precycles: tuple[PrePCycle, ...]
     certificates: dict
     cost_ledger: dict
-    conjugation: str = "identity"
 
     def all_certificates_true(self) -> bool:
         return certificates_ok(self.certificates)
 
     def to_json_dict(self) -> dict:
+        # No certificates: a report lists them once, at its top level.
         return {
-            "config": self.config.to_json_dict(),
             "mode": self.mode,
             "generators": self.generators.to_json_dict(),
             "precycles": [pre.to_json_dict() for pre in self.precycles],
-            "certificates": self.certificates,
             "cost_ledger": {k: frac_str(v) for k, v in self.cost_ledger.items()},
-            "conjugation": self.conjugation,
         }
 
 
@@ -480,7 +463,6 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
         ),
     }
     return PipelineReport(
-        config=config,
         mode=mode,
         generators=gen_set,
         precycles=tuple(tilde),

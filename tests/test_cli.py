@@ -84,7 +84,7 @@ class TestValidatePrecycle:
         code, report, err = run_cli(capsys, ["validate-precycle", "--in", chain_file])
         assert code == 0
         assert set(report) == TOP_KEYS
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["command"] == "validate-precycle"
         assert report["certificates"] == [
             {
@@ -111,6 +111,19 @@ class TestValidatePrecycle:
         code, report, err = run_cli(capsys, ["validate-precycle", "--in", str(path)])
         assert code == 2
         assert "error" in report and "not valid JSON" in report["error"]
+
+    def test_schema_version_2_on_success_and_error_reports(self, capsys, chain_file, tmp_path):
+        _, report, _ = run_cli(capsys, ["validate-precycle", "--in", chain_file])
+        assert report["schema_version"] == "2"
+        code, report, _ = run_cli(
+            capsys, ["validate-precycle", "--in", str(tmp_path / "nope.json")]
+        )
+        assert code == 2
+        assert report == {
+            "schema_version": "2",
+            "command": "validate-precycle",
+            "error": report["error"],
+        }
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, report, _ = run_cli(
@@ -279,8 +292,8 @@ class TestPipeline:
         ]
         for entry in report["certificates"][1:]:
             assert set(entry["certificate"]) == CERT_KEYS
+        assert set(report["results"]) == {"mode", "generators", "precycles", "cost_ledger"}
         assert report["results"]["cost_ledger"]["c"] == "1/4"
-        assert report["results"]["conjugation"] == "identity"
         assert "5 certificate(s)" in err
 
     def test_mode_a_only(self, capsys):
@@ -334,10 +347,23 @@ class TestPipeline:
         assert code == 0
         assert report["inputs"]["graphing"]["n"] == 12
 
-    def test_seed_is_echoed(self, capsys):
-        code, report, _ = run_cli(capsys, self.ARGS + ["--seed", "11"])
+    def test_inputs_echo_the_arguments(self, capsys):
+        code, report, _ = run_cli(capsys, self.ARGS + ["--mode", "b"])
         assert code == 0
-        assert report["inputs"]["seed"] == 11
+        assert report["inputs"] == {
+            "n": 1, "N": 12, "p": 3, "m": 1, "mode": "b", "graphing": None,
+        }
+
+    def test_seed_is_a_usage_error(self, capsys, sym4_file):
+        for argv in (
+            self.ARGS,
+            ["oracle", "min-cost", "--relation", sym4_file],
+            ["relation", "cost", "--relation", sym4_file],
+        ):
+            assert dispatch(argv + ["--seed", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --seed 1" in captured.err
 
 
 class TestOracle:
@@ -731,7 +757,7 @@ options:
 """
 
 PIPELINE_USAGE = """\
-usage: orbitlab pipeline [-h] [--seed SEED] --n N --N N_POINTS --p P --m M
+usage: orbitlab pipeline [-h] --n N --N N_POINTS --p P --m M
                          [--graphing GRAPHING_JSON] [--mode {a,b,both}]
                          [--out REPORT_JSON]
 """
@@ -740,8 +766,6 @@ PIPELINE_HELP = PIPELINE_USAGE + """\
 
 options:
   -h, --help            show this help message and exit
-  --seed SEED           recorded in the report; current constructions are
-                        deterministic
   --n N                 number of chains
   --N N_POINTS          space size
   --p P                 odd chain parameter
