@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 # The largest space an input may name.  Every check of a wire ``n`` (and
 # of ``--N``) refuses more, before anything of that size is allocated.  At
 # the cap, ``pipeline --n 1 --p 3 --m 1 --mode a`` takes 0.4-0.6 s and
-# prints a 2 MB report (0.13 s at N = 10 000).
+# prints a 1.7 MB report (0.13 s at N = 10 000).
 MAX_POINTS = 20_000
 
 

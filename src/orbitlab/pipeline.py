@@ -47,7 +47,7 @@ MODES = ("a", "b", "both")
 
 # The most chains a run may thread.  Time and report size grow linearly in
 # the chain count: at the cap, ``--N 20000 --p 3 --m 1 --mode both`` takes
-# 1.1-1.6 s and prints a 5.3 MB report, as long as a one-chain run at
+# 1.1-1.6 s and prints a 5.0 MB report, as long as a one-chain run at
 # ``MAX_POINTS`` took while each certificate converted both orders.
 MAX_CHAINS = 10
 
