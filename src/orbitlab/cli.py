@@ -21,7 +21,7 @@ import traceback
 from json.encoder import INFINITY as _INF
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import Permutation, check_space_cap, frac_str
+from .core import Permutation, check_space, frac_str
 from .cycles import make_cycle, orbit_sizes, validate_precycle
 from .group_engine import check_join_generation, generates_full_group
 from .oracle import (
@@ -81,11 +81,7 @@ def _parse_perm_list(data) -> list[Permutation]:
         n = data["n"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"generator JSON needs 'n' and 'perms': {exc}") from exc
-    if type(n) is not int:
-        raise ValueError(f"generator list 'n' must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"generator list 'n' must be positive, got {n}")
-    check_space_cap(n)
+    check_space(n, "generator list 'n'")
     out = [Permutation.from_json_dict(p) for p in perms]
     for p in out:
         if p.n != n:
@@ -156,7 +152,8 @@ def _report_text(report: dict) -> str:
     return "".join(out)
 
 
-def _module_prefix(exc: BaseException) -> str | None:
+def _error_text(exc: BaseException) -> str:
+    """The message of ``exc``, led by the last orbitlab module but ``cli`` it went through."""
     last = None
     for frame in traceback.extract_tb(exc.__traceback__):
         fname = frame.filename.replace("\\", "/")
@@ -164,7 +161,7 @@ def _module_prefix(exc: BaseException) -> str | None:
             stem = fname.rsplit("/", 1)[-1].removesuffix(".py")
             if stem != "cli":
                 last = stem
-    return last
+    return f"{last}: {exc}" if last else str(exc)
 
 
 @functools.cache
@@ -245,9 +242,7 @@ def _cmd_validate_precycle(args):
         cert = {"valid": True, "p": pre.p, "error": None}
         results = {"n": pre.n, "p": pre.p}
     except ValueError as exc:
-        prefix = _module_prefix(exc)
-        message = f"{prefix}: {exc}" if prefix else str(exc)
-        cert = {"valid": False, "p": None, "error": message}
+        cert = {"valid": False, "p": None, "error": _error_text(exc)}
         results = {"n": graphing.n, "p": None}
     return {"in": data}, results, [{"name": "precycle_valid", "certificate": cert}]
 
@@ -351,7 +346,7 @@ def _cmd_pipeline(args):
         "mode": args.mode,
         "graphing": gdata,
     }
-    return inputs, report.to_json_dict(), certificates, args.out
+    return inputs, report.to_json_dict(), certificates
 
 
 def _cmd_oracle(args):
@@ -370,7 +365,17 @@ def _cmd_oracle(args):
     inputs = {"relation": data}
     if args.action == "min-support":
         inputs["t"] = args.t
-    return inputs, result.to_json_dict(), [], args.out
+    return inputs, result.to_json_dict(), []
+
+
+_HANDLERS = {
+    "validate-precycle": _cmd_validate_precycle,
+    "make-cycle": _cmd_make_cycle,
+    "relation": _cmd_relation,
+    "verify": _cmd_verify,
+    "pipeline": _cmd_pipeline,
+    "oracle": _cmd_oracle,
+}
 
 
 def dispatch(argv: list[str]) -> int:
@@ -386,26 +391,12 @@ def dispatch(argv: list[str]) -> int:
         command = f"{args.command} {args.action}"
 
     start = time.perf_counter()
-    out_path = None
     try:
-        if args.command == "validate-precycle":
-            inputs, results, certificates = _cmd_validate_precycle(args)
-        elif args.command == "make-cycle":
-            inputs, results, certificates = _cmd_make_cycle(args)
-        elif args.command == "relation":
-            inputs, results, certificates = _cmd_relation(args)
-        elif args.command == "verify":
-            inputs, results, certificates = _cmd_verify(args)
-        elif args.command == "pipeline":
-            inputs, results, certificates, out_path = _cmd_pipeline(args)
-        else:
-            inputs, results, certificates, out_path = _cmd_oracle(args)
+        inputs, results, certificates = _HANDLERS[args.command](args)
     except InputError as exc:
         return _fail(command, str(exc))
     except (ValueError, KeyError, TypeError) as exc:
-        prefix = _module_prefix(exc)
-        message = f"{prefix}: {exc}" if prefix else str(exc)
-        return _fail(command, message)
+        return _fail(command, _error_text(exc))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -416,6 +407,7 @@ def dispatch(argv: list[str]) -> int:
         "timing_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = _report_text(report)
+    out_path = getattr(args, "out", None)
     # Write the file first, so that stdout holds exactly one report.
     if out_path is not None:
         try:

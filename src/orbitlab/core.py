@@ -30,13 +30,21 @@ class SpaceMismatchError(ValueError):
     """Raised when two operands live on spaces of different sizes."""
 
 
-def check_space_cap(n: int) -> None:
-    """Refuse a space of more than ``MAX_POINTS`` points."""
+def check_space(n, what: str = "space size") -> None:
+    """Refuse a space size ``n`` that is not an integer from 1 to ``MAX_POINTS``.
+
+    ``what`` names the value in the first two messages.
+    """
+    if type(n) is not int:
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{what} must be positive, got {n}")
     if n > MAX_POINTS:
         raise ValueError(f"space size {n} exceeds the cap of {MAX_POINTS} points")
 
 
-def _check_same_space(a, b) -> None:
+def check_same_space(a, b) -> None:
+    """Refuse two operands whose spaces differ in size."""
     if a.n != b.n:
         raise SpaceMismatchError(f"space sizes differ: {a.n} != {b.n}")
 
@@ -104,7 +112,7 @@ class Permutation:
         """Composition: apply ``other`` first, then ``self``."""
         if not isinstance(other, Permutation):
             return NotImplemented
-        _check_same_space(self, other)
+        check_same_space(self, other)
         return Permutation._trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Permutation":
@@ -155,11 +163,7 @@ class Permutation:
             images = data["images"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"permutation JSON needs 'n' and 'images': {exc}") from exc
-        if type(n) is not int:
-            raise ValueError(f"permutation 'n' must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"permutation 'n' must be positive, got {n}")
-        check_space_cap(n)
+        check_space(n, "permutation 'n'")
         if not isinstance(images, list) or len(images) != n:
             raise ValueError("permutation 'images' must be a list of length n")
         return cls(tuple(images))
@@ -180,9 +184,7 @@ class PartialInjection:
     def __post_init__(self) -> None:
         pairs = tuple(sorted((s, t) for s, t in self.pairs))
         object.__setattr__(self, "pairs", pairs)
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"space size must be a positive integer, got {self.n!r}")
-        check_space_cap(self.n)
+        check_space(self.n)
         sources = set()
         targets = set()
         for s, t in pairs:
@@ -250,7 +252,7 @@ def compose(outer: PartialInjection, inner: PartialInjection) -> PartialInjectio
     The result is defined exactly where the chain is: on
     ``inner^{-1}(dom outer & rng inner)``.
     """
-    _check_same_space(outer, inner)
+    check_same_space(outer, inner)
     pairs = []
     for s, mid in inner.pairs:
         t = outer.get(mid)
@@ -264,7 +266,7 @@ def uniform_distance(t: Permutation, u: Permutation) -> Fraction:
 
     This is a bi-invariant metric on the permutations of the space.
     """
-    _check_same_space(t, u)
+    check_same_space(t, u)
     diff = sum(1 for a, b in zip(t.images, u.images) if a != b)
     return Fraction(diff, t.n)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import PartialInjection, Permutation
+from .core import PartialInjection, Permutation, check_same_space, check_space
 from .relations import Graphing, full_group_generators, generate_relation
 
 
@@ -36,12 +36,12 @@ class DisjointnessError(ValueError):
         self.point = point
 
 
-def _check_chain(n: int, maps: tuple[PartialInjection, ...]) -> None:
+def _check_chain(pre: "PrePCycle") -> None:
+    maps = pre.maps
     if not maps:
         raise ValueError("a chain needs at least one map")
     for i, phi in enumerate(maps):
-        if phi.n != n:
-            raise ValueError(f"map {i} lives on a space of size {phi.n}, expected {n}")
+        check_same_space(phi, pre)
         if not phi.pairs:
             raise ValueError(f"map {i} is empty")
     for i in range(len(maps) - 1):
@@ -76,9 +76,8 @@ class PrePCycle:
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
         object.__setattr__(self, "maps", maps)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"space size must be a positive integer, got {self.n!r}")
-        _check_chain(self.n, maps)
+        check_space(self.n)
+        _check_chain(self)
 
     @property
     def p(self) -> int:
@@ -139,8 +138,7 @@ def orbit_sizes(perm: Permutation) -> tuple[int, ...]:
 
 def conjugate_partial(c: Permutation, phi: PartialInjection) -> PartialInjection:
     """The partial injection ``c . phi . c^{-1}``, with domain ``c(dom phi)``."""
-    if c.n != phi.n:
-        raise ValueError(f"space sizes differ: {c.n} != {phi.n}")
+    check_same_space(c, phi)
     return PartialInjection(phi.n, tuple((c(s), c(t)) for s, t in phi.pairs))
 
 

@@ -32,7 +32,7 @@ import decimal
 import math
 from typing import Iterable, Sequence
 
-from .core import Permutation, SpaceMismatchError
+from .core import Permutation, SpaceMismatchError, check_same_space
 from .relations import (
     Partition,
     full_group_generators,
@@ -144,8 +144,7 @@ class PermGroup:
     def contains(self, perm: Permutation) -> bool:
         if self._chain is None:
             return in_full_group(perm, self._blocks)
-        if perm.n != self.n:
-            raise SpaceMismatchError(f"space sizes differ: {perm.n} != {self.n}")
+        check_same_space(perm, self)
         return self._chain.strip(perm.images) == self._chain.identity
 
     def __contains__(self, perm: Permutation) -> bool:
@@ -264,8 +263,7 @@ def generates_full_group(
     """
     gen_list = list(gens)
     for g in gen_list:
-        if g.n != relation.n:
-            raise SpaceMismatchError(f"space sizes differ: {g.n} != {relation.n}")
+        check_same_space(g, relation)
     in_fg = all(in_full_group(g, relation) for g in gen_list)
     images = [g.images for g in gen_list]
     order = PermGroup(images, relation if in_fg else _orbits(images, relation.n)).order

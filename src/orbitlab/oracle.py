@@ -166,7 +166,8 @@ def brute_min_generators(relation: Partition) -> SearchResult:
             optimum=0, witness=(), search_space_size=examined, exhaustive=True
         )
     reps = _conjugacy_representatives(relation, elements)
-    for t in range(1, 4):
+    # Ends by t = |G| + 1 at the latest, where a tuple lists every element.
+    for t in itertools.count(1):
         for first in reps:
             for rest in itertools.product(elements, repeat=t - 1):
                 examined += 1
@@ -178,13 +179,6 @@ def brute_min_generators(relation: Partition) -> SearchResult:
                         search_space_size=examined,
                         exhaustive=True,
                     )
-    # Unreachable under the cap: with n <= 5 at most 2 classes have 2 or
-    # more points, and a product of at most 2 symmetric groups has 2
-    # generators.  k such classes need at least k (the abelianization is
-    # C2^k; Sym(2)^k needs exactly k), so a higher cap needs a larger t.
-    raise RuntimeError(  # pragma: no cover
-        f"no generating tuple of size <= 3 found for a group of order {full_order}"
-    )
 
 
 def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:

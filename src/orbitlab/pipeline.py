@@ -27,6 +27,7 @@ from .core import (
     MAX_POINTS,
     PartialInjection,
     Permutation,
+    check_same_space,
     compose,
     frac_str,
     uniform_distance,
@@ -38,7 +39,6 @@ from .relations import (
     Partition,
     full_group_generators,
     generate_relation,
-    is_ergodic,
     isopar_witness,
     join,
 )
@@ -76,7 +76,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for name in ("n_cycles", "n_points", "p", "m"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.n_cycles > MAX_CHAINS:
             raise ConfigError(f"n_cycles must be at most {MAX_CHAINS}, got {self.n_cycles}")
@@ -212,9 +212,7 @@ def build_matui_pair(n_points: int) -> tuple[Permutation, Permutation]:
     """
     if n_points < 3:
         raise ValueError(f"need at least 3 points, got {n_points}")
-    t0 = Permutation.from_cycles(n_points, [tuple(range(n_points))])
-    u0 = Permutation.from_cycles(n_points, [(0, 1)])
-    return t0, u0
+    return full_group_generators(Partition.single_class(n_points))
 
 
 def split_graphing(phi: Graphing, n: int) -> list[Graphing]:
@@ -278,23 +276,18 @@ def regroup_graphing(phi: Graphing, k: int, m: int) -> Graphing:
     return Graphing(phi.n, tuple(PartialInjection(phi.n, tuple(b)) for b in buckets))
 
 
-def reshape_to_precycle(
-    phi_i: Graphing, blocks: Sequence[Sequence[int]], r0: Partition
-) -> PrePCycle:
+def reshape_to_precycle(phi_i: Graphing, blocks: Sequence[Sequence[int]]) -> PrePCycle:
     """Carry each map of a graphing onto consecutive blocks, forming a chain.
 
-    Map j is pre- and post-composed with witnesses moving points within
-    their r0-classes, so the new map j sends block j to block j+1.  Needs
-    one more block than there are maps, all blocks of the common map size,
-    pairwise disjoint, and a transitive r0.
+    Map j is pre- and post-composed with the increasing matchings of block
+    j onto its domain and of its range onto block j+1 (``isopar_witness``
+    of the single class), so the new map j sends block j to block j+1.
+    Needs one more block than there are maps, all blocks of the common map
+    size, and pairwise disjoint blocks.
     """
     k = len(phi_i.maps)
     if len(blocks) != k + 1:
         raise ValueError(f"{k} maps need {k + 1} blocks, got {len(blocks)}")
-    if not is_ergodic(r0):
-        raise ValueError("the reference relation must have a single class")
-    if r0.n != phi_i.n:
-        raise ValueError(f"space sizes differ: {r0.n} != {phi_i.n}")
     sizes = {len(mp.pairs) for mp in phi_i.maps}
     block_sets = [frozenset(b) for b in blocks]
     if len(sizes) != 1 or sizes != {len(bs) for bs in block_sets}:
@@ -307,29 +300,27 @@ def reshape_to_precycle(
         if seen & bs:
             raise ValueError(f"blocks overlap at {sorted(seen & bs)}")
         seen |= bs
+    single = Partition.single_class(phi_i.n)
     new_maps = []
     for j, old in enumerate(phi_i.maps):
-        pre = isopar_witness(r0, block_sets[j], old.dom)
-        post = isopar_witness(r0, old.rng, block_sets[j + 1])
+        pre = isopar_witness(single, block_sets[j], old.dom)
+        post = isopar_witness(single, old.rng, block_sets[j + 1])
         new_maps.append(compose(post, compose(old, pre)))
     return PrePCycle(phi_i.n, tuple(new_maps))
 
 
 def append_psi(
-    cycles: Sequence[PrePCycle],
-    a_src: Sequence[int],
-    a_dst: Sequence[int],
-    r0: Partition,
+    cycles: Sequence[PrePCycle], a_src: Sequence[int], a_dst: Sequence[int]
 ) -> list[PrePCycle]:
     """Extend every chain by one shared map from a_src to a_dst.
 
-    The shared map matches the two blocks in increasing point order within
-    r0-classes.  Chaining and disjointness are re-validated per chain, so
-    a_src must be every chain's final range and a_dst must be fresh.
+    The shared map matches the two blocks in increasing point order.
+    Chaining and disjointness are re-validated per chain, so a_src must be
+    every chain's final range and a_dst must be fresh.
     """
     if not cycles:
         raise ValueError("no chains to extend")
-    psi = isopar_witness(r0, a_src, a_dst)
+    psi = isopar_witness(Partition.single_class(cycles[0].n), a_src, a_dst)
     return [PrePCycle(c.n, c.maps + (psi,)) for c in cycles]
 
 
@@ -343,8 +334,7 @@ def merge_generators(u0: Permutation, c1: Permutation, p: int) -> Permutation:
     """
     if p < 1 or p % 2 == 0:
         raise ValueError(f"p must be odd, got {p}")
-    if u0.n != c1.n:
-        raise ValueError(f"space sizes differ: {u0.n} != {c1.n}")
+    check_same_space(u0, c1)
     identity = Permutation.identity(u0.n)
     if u0 * u0 != identity:
         raise ValueError("the first factor must square to the identity")
@@ -403,14 +393,12 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
         chunks = split_graphing(config.graphing, config.n_cycles)
         pres = [
             reshape_to_precycle(
-                regroup_graphing(chunk, config.p, config.m),
-                blocks[: config.p + 1],
-                single,
+                regroup_graphing(chunk, config.p, config.m), blocks[: config.p + 1]
             )
             for chunk in chunks
         ]
 
-    tilde = append_psi(pres, blocks[-2], blocks[-1], single)
+    tilde = append_psi(pres, blocks[-2], blocks[-1])
     psi = tilde[0].maps[-1]
     cycles = [make_cycle(pre) for pre in tilde]
     u1 = merge_generators(u0, cycles[0], config.p)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import PartialInjection, Permutation, SpaceMismatchError, check_space_cap
+from .core import (
+    PartialInjection, Permutation, SpaceMismatchError, check_same_space, check_space
+)
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,7 @@ class Partition:
 
     @classmethod
     def from_classes(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
-        if type(n) is not int:
-            raise ValueError(f"space size must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"space size must be positive, got {n}")
-        check_space_cap(n)
+        check_space(n)
         ids = [-1] * n
         for block in classes:
             pts = sorted(block)
@@ -138,9 +136,7 @@ class Graphing:
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
         object.__setattr__(self, "maps", maps)
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"space size must be a positive integer, got {self.n!r}")
-        check_space_cap(self.n)
+        check_space(self.n)
         for i, phi in enumerate(maps):
             if phi.n != self.n:
                 raise SpaceMismatchError(
@@ -204,15 +200,13 @@ def join(relations: Sequence[Partition]) -> Partition:
     """Smallest common coarsening of the given partitions."""
     if not relations:
         raise ValueError("join requires at least one relation")
-    n = relations[0].n
     for rel in relations[1:]:
-        if rel.n != n:
-            raise SpaceMismatchError(f"space sizes differ: {rel.n} != {n}")
+        check_same_space(rel, relations[0])
     pairs = []
     for rel in relations:
         for cls_pts in rel.classes():
             pairs.extend(zip(cls_pts, cls_pts[1:]))
-    return Partition.from_pairs(n, pairs)
+    return Partition.from_pairs(relations[0].n, pairs)
 
 
 def is_ergodic(relation: Partition) -> bool:
@@ -263,8 +257,7 @@ def isopar_witness(
 
 def in_full_group(perm: Permutation, relation: Partition) -> bool:
     """True when the permutation maps every point within its class."""
-    if perm.n != relation.n:
-        raise SpaceMismatchError(f"space sizes differ: {perm.n} != {relation.n}")
+    check_same_space(perm, relation)
     ids = relation.class_id
     return all(ids[x] == ids[y] for x, y in enumerate(perm.images))
 

@@ -522,6 +522,76 @@ class TestBoundedInput:
         assert str(MAX_POINTS) in report["error"]
 
 
+class TestSpaceSizeOnEveryWireType:
+    """Every wire ``n`` is an integer from 1 to ``MAX_POINTS``, checked in one place."""
+
+    @pytest.mark.parametrize(
+        "n, text",
+        [
+            pytest.param(True, "{label} must be an integer, got True", id="true"),
+            pytest.param(0, "{label} must be positive, got 0", id="0"),
+            pytest.param(-1, "{label} must be positive, got -1", id="-1"),
+            pytest.param(2.5, "{label} must be an integer, got 2.5", id="2.5"),
+            pytest.param("3", "{label} must be an integer, got '3'", id="str"),
+            pytest.param(
+                MAX_POINTS + 1,
+                f"space size {MAX_POINTS + 1} exceeds the cap of {MAX_POINTS} points",
+                id="cap+1",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv, what, label, wrap",
+        [
+            pytest.param(
+                ["relation", "generate", "--graphing"],
+                "graphing",
+                "space size",
+                lambda n: {"n": n, "maps": []},
+                id="graphing",
+            ),
+            pytest.param(
+                ["relation", "generate", "--graphing"],
+                "graphing",
+                "space size",
+                lambda n: {"n": 3, "maps": [{"n": n, "pairs": []}]},
+                id="graphing-map",
+            ),
+            pytest.param(
+                ["relation", "cost", "--relation"],
+                "partition",
+                "space size",
+                lambda n: {"n": n, "classes": []},
+                id="partition",
+            ),
+            pytest.param(
+                ["verify", "membership", "--relation", "{sym4}", "--perm"],
+                "permutation",
+                "permutation 'n'",
+                lambda n: {"n": n, "images": []},
+                id="permutation",
+            ),
+            pytest.param(
+                ["verify", "generation", "--relation", "{sym4}", "--gens"],
+                "generator list",
+                "generator list 'n'",
+                lambda n: {"n": n, "perms": []},
+                id="generator-list",
+            ),
+        ],
+    )
+    def test_is_refused_with_one_report(
+        self, capsys, tmp_path, sym4_file, argv, what, label, wrap, n, text
+    ):
+        path = write_json(tmp_path, "in.json", wrap(n))
+        argv = [a.format(sym4=sym4_file) for a in argv] + [path]
+        code, report, err = run_cli(capsys, argv)
+        assert code == 2
+        assert set(report) == {"schema_version", "command", "error"}
+        assert report["error"] == f"{path} is not a valid {what}: " + text.format(label=label)
+        assert "Traceback" not in err
+
+
 class TestStrictIntegers:
     """Wire values must be JSON integers: nothing is truncated or coerced."""
 

@@ -10,12 +10,21 @@ from hypothesis import strategies as st
 from helpers import random_permutation
 from orbitlab import (
     PartialInjection,
+    Partition,
     Permutation,
+    PermGroup,
+    PrePCycle,
     SpaceMismatchError,
     compose,
+    conjugate_partial,
+    generates_full_group,
+    in_full_group,
+    join,
+    merge_generators,
     support_measure,
     uniform_distance,
 )
+from orbitlab.core import MAX_POINTS, check_space
 
 
 def perms(n):
@@ -194,6 +203,59 @@ class TestUniformDistance:
         assert d(t, u) <= d(t, v) + d(v, u)
         assert d(v * t, v * u) == d(t, u)
         assert d(t * v, u * v) == d(t, u)
+
+
+class TestSpaceChecks:
+    @pytest.mark.parametrize("n", [1, MAX_POINTS])
+    def test_accepts_one_to_the_cap(self, n):
+        check_space(n)
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (True, "space size must be an integer, got True"),
+            (2.5, "space size must be an integer, got 2.5"),
+            ("3", "space size must be an integer, got '3'"),
+            (0, "space size must be positive, got 0"),
+            (-1, "space size must be positive, got -1"),
+            (
+                MAX_POINTS + 1,
+                f"space size {MAX_POINTS + 1} exceeds the cap of {MAX_POINTS} points",
+            ),
+        ],
+    )
+    def test_refuses_anything_else(self, n, message):
+        with pytest.raises(ValueError) as info:
+            check_space(n)
+        assert str(info.value) == message
+
+    def test_label_names_the_value(self):
+        with pytest.raises(ValueError, match="^permutation 'n' must be positive, got 0$"):
+            check_space(0, "permutation 'n'")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: uniform_distance(Permutation.identity(3), Permutation.identity(4)),
+            lambda: in_full_group(Permutation.identity(3), Partition.single_class(4)),
+            lambda: join([Partition.single_class(3), Partition.single_class(4)]),
+            lambda: generates_full_group([Permutation.identity(3)], Partition.single_class(4)),
+            # a 3-cycle has no transposition, so the group keeps a chain
+            lambda: PermGroup([(1, 2, 0)], Partition.single_class(3)).contains(
+                Permutation.identity(4)
+            ),
+            lambda: conjugate_partial(Permutation.identity(3), PartialInjection.empty(4)),
+            lambda: merge_generators(Permutation.identity(3), Permutation.identity(4), 3),
+            lambda: PrePCycle(3, (PartialInjection(4, ((0, 1),)),)),
+        ],
+        ids=[
+            "uniform_distance", "in_full_group", "join", "generates_full_group",
+            "PermGroup.contains", "conjugate_partial", "merge_generators", "PrePCycle",
+        ],
+    )
+    def test_operands_on_different_spaces(self, call):
+        with pytest.raises(SpaceMismatchError, match="^space sizes differ: [34] != [34]$"):
+            call()
 
 
 def test_every_exported_name_resolves():

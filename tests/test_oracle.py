@@ -162,6 +162,17 @@ class TestBruteMinGenerators:
         with pytest.raises(SearchSpaceTooLargeError):
             brute_min_generators(Partition.single_class(6))
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_needs_one_generator_per_two_point_class(self, monkeypatch, k):
+        """Sym(2)^k needs k generators (it is C2^k), so the scan has no fixed
+        bound on t: past the cap, k = 4 needs a fourth."""
+        monkeypatch.setattr(oracle, "MAX_GROUP_POINTS", 2 * k)
+        rel = Partition.from_classes(2 * k, [[2 * i, 2 * i + 1] for i in range(k)])
+        res = brute_min_generators(rel)
+        assert res.optimum == k
+        assert res.exhaustive
+        assert len(naive_closure(res.witness)) == 2**k
+
     def test_representatives_match_pairwise_conjugation(self):
         # cycle type per class against conjugating by every element, on
         # every partition of up to 5 points, order included

@@ -54,6 +54,11 @@ class TestPipelineConfig:
             with pytest.raises(ConfigError):
                 small_config(**{field: 0})
 
+    def test_booleans_are_not_integers(self):
+        for field in ("n_cycles", "n_points", "p", "m"):
+            with pytest.raises(ConfigError, match="must be a positive integer, got True"):
+                small_config(**{field: True})
+
     def test_p_must_be_odd_and_at_least_three(self):
         with pytest.raises(ConfigError, match="odd"):
             small_config(p=4, n_points=40)
@@ -211,48 +216,43 @@ class TestReshapeToPrecycle:
             12,
             (PartialInjection(12, ((8, 9),)), PartialInjection(12, ((9, 10),))),
         )
-        pre = reshape_to_precycle(g, [(2,), (3,), (4,)], Partition.single_class(12))
+        pre = reshape_to_precycle(g, [(2,), (3,), (4,)])
         assert pre.maps[0].pairs == ((2, 3),)
         assert pre.maps[1].pairs == ((3, 4),)
 
     def test_needs_one_more_block_than_maps(self):
         g = Graphing(12, (PartialInjection(12, ((8, 9),)),))
         with pytest.raises(ValueError, match="blocks"):
-            reshape_to_precycle(g, [(2,)], Partition.single_class(12))
-
-    def test_reference_relation_must_be_transitive(self):
-        g = Graphing(12, (PartialInjection(12, ((8, 9),)),))
-        with pytest.raises(ValueError, match="single class"):
-            reshape_to_precycle(g, [(2,), (3,)], Partition.singletons(12))
+            reshape_to_precycle(g, [(2,)])
 
     def test_block_and_map_sizes_must_agree(self):
         g = Graphing(12, (PartialInjection(12, ((8, 9), (6, 7))),))
         with pytest.raises(ValueError, match="sizes"):
-            reshape_to_precycle(g, [(2,), (3,)], Partition.single_class(12))
+            reshape_to_precycle(g, [(2,), (3,)])
 
     def test_blocks_must_be_disjoint(self):
         g = Graphing(12, (PartialInjection(12, ((8, 9),)),))
         with pytest.raises(ValueError, match="overlap"):
-            reshape_to_precycle(g, [(2,), (2,)], Partition.single_class(12))
+            reshape_to_precycle(g, [(2,), (2,)])
 
 
 class TestAppendPsi:
     def test_extends_every_chain_with_the_same_map(self):
         pre1 = PrePCycle(10, (PartialInjection(10, ((2, 4), (3, 5))),))
         pre2 = PrePCycle(10, (PartialInjection(10, ((3, 4), (2, 5))),))
-        out = append_psi([pre1, pre2], (4, 5), (6, 7), Partition.single_class(10))
+        out = append_psi([pre1, pre2], (4, 5), (6, 7))
         assert out[0].maps[-1] == out[1].maps[-1]
         assert out[0].maps[-1].pairs == ((4, 6), (5, 7))
         assert all(c.p == 3 for c in out)
 
     def test_rejects_empty_input(self):
-        with pytest.raises(ValueError):
-            append_psi([], (0,), (1,), Partition.single_class(4))
+        with pytest.raises(ValueError, match="no chains to extend"):
+            append_psi([], (0,), (1,))
 
     def test_target_block_must_be_fresh(self):
         pre = PrePCycle(10, (PartialInjection(10, ((2, 4),)),))
         with pytest.raises(ValueError):
-            append_psi([pre], (4,), (2,), Partition.single_class(10))
+            append_psi([pre], (4,), (2,))
 
 
 class TestMergeGenerators:

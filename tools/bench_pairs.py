@@ -10,10 +10,13 @@ in even pairs and the change first in odd ones.  Then one traced
 ``pipeline`` run per side, and the tier-1 suite timed ``--tier1`` times
 per side.  The record holds, per workload and end-to-end metric, both
 sides' quartiles (``statistics.quantiles(method="inclusive")``), every
-run's value and the pairs the change won, plus the claim's verdict (the
-change wins at least 9 of 10 pairs and the medians differ by more than
-the parent's interquartile distance), the machine conditions and both
-revisions with their ``src`` trees.
+run's value, the pairs the change won, and whether the change's median is
+worse than the parent's by more than the metric's BENCHMARK.json bound.
+Only when ``--claim WORKLOAD:METRIC`` names a claimed gain does it judge
+one (the change wins at least 9 of 10 pairs and the medians differ by
+more than the parent's interquartile distance); otherwise ``claim`` is
+null.  It also holds the machine conditions and both revisions with
+their ``src`` trees.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(rows: list[dict], better: dict) -> dict:
+def summarize(rows: list[dict], spec: dict) -> dict:
     out = {
         "seeds": [row["seed"] for row in rows],
         "first_side": [row["first"] for row in rows],
@@ -72,15 +75,17 @@ def summarize(rows: list[dict], better: dict) -> dict:
         "failed": {s: sum(row[s]["failed"] for row in rows) for s in SIDES},
         "metrics": {},
     }
-    for name, direction in better.items():
+    for name, (direction, bound) in spec.items():
         runs = {s: [row[s]["metrics"][name]["value"] for row in rows] for s in SIDES}
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
         qp, qc = quartiles(runs["parent"]), quartiles(runs["change"])
+        ratio = qc["median"] / qp["median"] - 1
         out["metrics"][name] = {
             "better": direction, "parent": qp, "change": qc,
             "change_wins": wins, "pairs": len(rows),
-            "median_change_ratio": qc["median"] / qp["median"] - 1,
+            "median_change_ratio": ratio, "bound": bound,
+            "worse_than_bound": -sign * ratio > bound,
             "parent_iqr": qp["q3"] - qp["q1"],
             "parent_runs": runs["parent"], "change_runs": runs["change"],
         }
@@ -128,12 +133,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--first-seed", type=int, default=601)
-    parser.add_argument("--claim", default="pipeline:throughput_rps", metavar="WORKLOAD:METRIC")
+    parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
+                        help="the claimed gain to judge (default: none, no verdict)")
     parser.add_argument("--trace-seconds", type=float, default=20)
     parser.add_argument("--tier1", type=int, default=3, metavar="TIMES")
     parser.add_argument("--workdir", default=None, help="where the extractions go (a temporary directory)")
     args = parser.parse_args(argv)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     revs = {s: git("rev-parse", rev) for s, rev in zip(SIDES, (args.parent, args.change))}
     record = {
         "what": "parent against change, orbitbench/run.py --trace 0 on every BENCHMARK.json "
@@ -161,23 +167,29 @@ def main(argv=None) -> int:
                         f"{m}={v['value']:.5g}" for m, v in row[side]["metrics"].items()),
                         flush=True)
                 rows.append(row)
-            record["workloads"][workload] = summarize(rows, better)
+            record["workloads"][workload] = summarize(rows, metrics)
         record["conditions"] = {**conditions, "python": platform.python_version(),
                                 "platform": platform.platform()}
-        workload, name = args.claim.split(":")
-        m = record["workloads"][workload]["metrics"][name]
-        gap = abs(m["change"]["median"] - m["parent"]["median"])
-        record["claim"] = {
-            "workload": workload, "metric": name,
-            "rule": "change wins >= 9 of 10 pairs and the medians differ by more than "
-                    "the parent's interquartile distance",
-            "met": m["change_wins"] >= 0.9 * m["pairs"] and gap > m["parent_iqr"],
-        }
+        record["claim"] = None
+        if args.claim is not None:
+            workload, name = args.claim.split(":")
+            m = record["workloads"][workload]["metrics"][name]
+            gap = abs(m["change"]["median"] - m["parent"]["median"])
+            record["claim"] = {
+                "workload": workload, "metric": name,
+                "rule": "change wins >= 9 of 10 pairs and the medians differ by more than "
+                        "the parent's interquartile distance",
+                "met": m["change_wins"] >= 0.9 * m["pairs"] and gap > m["parent_iqr"],
+            }
         record["trace_pipeline"] = traced(trees, args.first_seed + 10, args.trace_seconds,
                                           Path(tmp))
         record["tier1"] = tier1(trees, args.tier1)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"claim met: {record['claim']['met']}")
+    worse = [f"{w}:{name}" for w, summary in record["workloads"].items()
+             for name, m in summary["metrics"].items() if m["worse_than_bound"]]
+    print(f"worse than the bound: {', '.join(worse) or 'none'}")
+    if record["claim"] is not None:
+        print(f"claim met: {record['claim']['met']}")
     return 0
 
 
