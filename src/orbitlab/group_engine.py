@@ -262,9 +262,8 @@ def generates_full_group(
     over the generators' orbits otherwise.
     """
     gen_list = list(gens)
-    for g in gen_list:
-        check_same_space(g, relation)
-    in_fg = all(in_full_group(g, relation) for g in gen_list)
+    # A list, so that in_full_group checks the space of every generator.
+    in_fg = all([in_full_group(g, relation) for g in gen_list])
     images = [g.images for g in gen_list]
     order = PermGroup(images, relation if in_fg else _orbits(images, relation.n)).order
     target = full_group_order(relation)

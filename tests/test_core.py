@@ -208,30 +208,9 @@ class TestUniformDistance:
 class TestSpaceChecks:
     @pytest.mark.parametrize("n", [1, MAX_POINTS])
     def test_accepts_one_to_the_cap(self, n):
+        """What it refuses, and with which text, is pinned on every wire
+        type in test_cli.py."""
         check_space(n)
-
-    @pytest.mark.parametrize(
-        "n, message",
-        [
-            (True, "space size must be an integer, got True"),
-            (2.5, "space size must be an integer, got 2.5"),
-            ("3", "space size must be an integer, got '3'"),
-            (0, "space size must be positive, got 0"),
-            (-1, "space size must be positive, got -1"),
-            (
-                MAX_POINTS + 1,
-                f"space size {MAX_POINTS + 1} exceeds the cap of {MAX_POINTS} points",
-            ),
-        ],
-    )
-    def test_refuses_anything_else(self, n, message):
-        with pytest.raises(ValueError) as info:
-            check_space(n)
-        assert str(info.value) == message
-
-    def test_label_names_the_value(self):
-        with pytest.raises(ValueError, match="^permutation 'n' must be positive, got 0$"):
-            check_space(0, "permutation 'n'")
 
     @pytest.mark.parametrize(
         "call",

@@ -164,8 +164,8 @@ class TestBruteMinGenerators:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_needs_one_generator_per_two_point_class(self, monkeypatch, k):
-        """Sym(2)^k needs k generators (it is C2^k), so the scan has no fixed
-        bound on t: past the cap, k = 4 needs a fourth."""
+        """Sym(2)^k is C2^k, which needs k generators, so t has no fixed
+        bound: with the cap raised to 8 points, k = 4 needs t = 4."""
         monkeypatch.setattr(oracle, "MAX_GROUP_POINTS", 2 * k)
         rel = Partition.from_classes(2 * k, [[2 * i, 2 * i + 1] for i in range(k)])
         res = brute_min_generators(rel)
