@@ -357,8 +357,6 @@ def _cmd_oracle(args):
         elif args.action == "min-gens":
             result = brute_min_generators(rel)
         else:
-            if args.t < 0:
-                raise InputError(f"--t must be non-negative, got {args.t}")
             result = brute_min_generating_support(rel, args.t)
     except SearchSpaceTooLargeError as exc:
         raise InputError(f"oracle: {exc}") from exc

@@ -23,6 +23,7 @@ from .relations import Graphing, Partition, cost_relation
 MAX_COST_POINTS = 6
 MAX_GROUP_POINTS = 5
 MAX_SUPPORT_TUPLE = 2
+_CLOSURE_CAP = 100_000
 
 
 class SearchSpaceTooLargeError(ValueError):
@@ -124,13 +125,14 @@ def full_group_elements(relation: Partition) -> tuple[Permutation, ...]:
                 images[src] = dst
         out.append(tuple(images))
     out.sort()
-    return tuple(Permutation(img) for img in out)
+    return tuple(Permutation._trusted(img) for img in out)
 
 
 def _conjugacy_representatives(
     relation: Partition, elements: tuple[Permutation, ...]
-) -> list[Permutation]:
-    """Lex-least representative of each conjugacy class of the full group.
+) -> list[int]:
+    """Position in ``elements`` of the lex-least representative of each
+    conjugacy class of the full group.
 
     Two elements of a product of symmetric groups are conjugate exactly
     when they have the same cycle type on each class, so each element is
@@ -138,10 +140,10 @@ def _conjugacy_representatives(
     sorted, so the first element seen for a key is its lex-least one.
     """
     ids = relation.class_id
-    reps: dict[tuple[tuple[int, int], ...], Permutation] = {}
-    for g in elements:
+    reps: dict[tuple[tuple[int, int], ...], int] = {}
+    for i, g in enumerate(elements):
         key = tuple(sorted((ids[c[0]], len(c)) for c in g.cycles()))
-        reps.setdefault(key, g)
+        reps.setdefault(key, i)
     return list(reps.values())
 
 
@@ -165,17 +167,18 @@ def brute_min_generators(relation: Partition) -> SearchResult:
         return SearchResult(
             optimum=0, witness=(), search_space_size=examined, exhaustive=True
         )
+    tables = _tables([g.images for g in elements], n)
     reps = _conjugacy_representatives(relation, elements)
     # Ends by t = |G| + 1 at the latest, where a tuple lists every element.
     for t in itertools.count(1):
         for first in reps:
-            for rest in itertools.product(elements, repeat=t - 1):
+            for rest in itertools.product(range(full_order), repeat=t - 1):
                 examined += 1
                 tup = (first,) + rest
-                if len(naive_closure(tup)) == full_order:
+                if len(_closure([tables[i] for i in tup], n)) == full_order:
                     return SearchResult(
                         optimum=t,
-                        witness=tup,
+                        witness=tuple(elements[i] for i in tup),
                         search_space_size=examined,
                         exhaustive=True,
                     )
@@ -207,16 +210,17 @@ def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:
         )
     elements = full_group_elements(relation)
     full_order = len(elements)
-    support = {g: len(g.support()) for g in elements}
+    tables = _tables([g.images for g in elements], n)
+    support = [len(g.support()) for g in elements]
     reps = _conjugacy_representatives(relation, elements)
-    pools = [reps] + [elements] * (t - 1) if t else []
+    pools = [reps] + [range(full_order)] * (t - 1) if t else []
     candidates = sorted(
-        itertools.product(*pools), key=lambda tup: sum(map(support.get, tup))
+        itertools.product(*pools), key=lambda tup: sum(map(support.__getitem__, tup))
     )
-    witness = next(
-        (tup for tup in candidates if len(naive_closure(tup, n)) == full_order), None
-    )
-    optimum = None if witness is None else Fraction(sum(map(support.get, witness)), n)
+    found = next((tup for tup in candidates
+                  if len(_closure([tables[i] for i in tup], n)) == full_order), None)
+    witness = None if found is None else tuple(elements[i] for i in found)
+    optimum = None if found is None else Fraction(sum(map(support.__getitem__, found)), n)
     rel_cost = cost_relation(relation)
     comparison = {
         "relation_cost": frac_str(rel_cost),
@@ -232,9 +236,10 @@ def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:
     )
 
 
-def naive_closure(gens, n_points: int | None = None, cap: int = 100_000) -> frozenset:
+def naive_closure(gens, n_points: int | None = None, cap: int = _CLOSURE_CAP) -> frozenset:
     """All products of the generators, as raw image tuples, by breadth-first
-    closure.  Independent of the stabilizer-chain engine.
+    closure.  Independent of the stabilizer-chain engine; refuses more than
+    256 points.
     """
     gen_list = [g.images for g in gens]
     if gen_list:
@@ -243,14 +248,29 @@ def naive_closure(gens, n_points: int | None = None, cap: int = 100_000) -> froz
         raise ValueError("an empty generator list needs an explicit n_points")
     else:
         n = n_points
-    identity = tuple(range(n))
+    if n > 256:
+        raise SearchSpaceTooLargeError(f"naive closure is capped at 256 points, got {n}")
+    return frozenset(map(tuple, _closure(_tables(gen_list, n), n, cap)))
+
+
+def _tables(images, n: int) -> list[bytes]:
+    """Each image array on n points as a 256-byte ``bytes.translate`` table,
+    identity past n, so that ``p.translate(table)`` is the product g∘p."""
+    pad = bytes(range(n, 256))
+    return [bytes(img) + pad for img in images]
+
+
+def _closure(tables: list[bytes], n: int, cap: int = _CLOSURE_CAP) -> set[bytes]:
+    """Breadth-first closure of generator tables on n points; each element
+    is its image array as n bytes."""
+    identity = bytes(range(n))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in gen_list:
-                q = tuple(map(g.__getitem__, p))
+            for g in tables:
+                q = p.translate(g)
                 if q not in seen:
                     if len(seen) >= cap:
                         raise SearchSpaceTooLargeError(
@@ -259,4 +279,4 @@ def naive_closure(gens, n_points: int | None = None, cap: int = 100_000) -> froz
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return frozenset(seen)
+    return seen

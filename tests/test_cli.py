@@ -411,7 +411,7 @@ class TestOracle:
             capsys, ["oracle", "min-support", "--relation", sym4_file, "--t", "-1"]
         )
         assert code == 2
-        assert "--t must be non-negative" in report["error"]
+        assert "between 0 and 2" in report["error"]
 
     def test_oversize_relation_is_refused(self, capsys, tmp_path):
         rel = write_json(

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import all_partitions
 from orbitlab import (
@@ -59,6 +61,30 @@ def pairwise_conjugacy_representatives(elements):
             reps.append(g)
             seen.update(h * g * h.inverse() for h in elements)
     return reps
+
+
+def tuple_closure(gens, n, cap):
+    """Breadth-first closure by tuple composition, stopped once it holds
+    more than ``cap`` elements: the route the byte tables must reproduce."""
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier and len(seen) <= cap:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g.images[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 9))
+    images = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return n, tuple(Permutation(img) for img in images)
 
 
 class TestBruteMinGraphingCost:
@@ -179,7 +205,7 @@ class TestBruteMinGenerators:
         for n in range(1, 6):
             for rel in all_partitions(n):
                 elems = full_group_elements(rel)
-                got = oracle._conjugacy_representatives(rel, elems)
+                got = [elems[i] for i in oracle._conjugacy_representatives(rel, elems)]
                 assert got == pairwise_conjugacy_representatives(elems)
 
 
@@ -264,16 +290,17 @@ class TestBruteMinGeneratingSupport:
                     assert got == lexicographic_min_support(rel, t).to_json_dict()
 
     def test_closure_count_on_sym5_pairs(self, monkeypatch):
-        # a deterministic work bound: the full scan closes 755 tuples here
+        # a deterministic work count: the full scan closes 755 tuples here
         calls = []
+        closure = oracle._closure
 
         def spy(*args, **kwargs):
             calls.append(args)
-            return naive_closure(*args, **kwargs)
+            return closure(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "naive_closure", spy)
+        monkeypatch.setattr(oracle, "_closure", spy)
         brute_min_generating_support(Partition.single_class(5), 2)
-        assert len(calls) <= 200
+        assert len(calls) == 179
 
     def test_symmetric_group_on_five_points_pinned(self):
         # the largest group under the caps; the support search (candidates
@@ -319,6 +346,33 @@ class TestNaiveClosureCap:
 
     def test_identity_closure_without_generators(self):
         assert naive_closure((), n_points=3) == {(0, 1, 2)}
+
+
+class TestNaiveClosureBytes:
+    @settings(deadline=None, max_examples=60)
+    @given(generator_sets())
+    def test_matches_tuple_composition(self, drawn):
+        n, gens = drawn
+        cap = 6_000  # Sym(7) closes; giants on 8 or 9 points exceed it
+        expected = tuple_closure(gens, n, cap)
+        if len(expected) > cap:
+            with pytest.raises(SearchSpaceTooLargeError):
+                naive_closure(gens, n_points=n, cap=cap)
+        else:
+            assert naive_closure(gens, n_points=n, cap=cap) == expected
+
+    def test_transposition_on_256_points(self):
+        # the largest space the tables cover, with the cap met exactly
+        t = Permutation.from_cycles(256, [(0, 255)])
+        assert naive_closure((t,), cap=2) == {tuple(range(256)), t.images}
+        with pytest.raises(SearchSpaceTooLargeError):
+            naive_closure((t,), cap=1)
+
+    def test_refuses_more_than_256_points(self):
+        with pytest.raises(SearchSpaceTooLargeError):
+            naive_closure((Permutation.identity(257),))
+        with pytest.raises(SearchSpaceTooLargeError):
+            naive_closure((), n_points=257)
 
 
 def test_oracle_does_not_import_the_engine_or_a_pool():

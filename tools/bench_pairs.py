@@ -6,12 +6,13 @@ Each revision is extracted with ``git archive`` into a work directory and
 runs its own ``orbitbench/run.py``, one process at a time.  For every
 workload of BENCHMARK.json, ``--pairs`` pairs of untraced runs of
 ``run_seconds``: both sides of a pair share a seed, the parent runs first
-in even pairs and the change first in odd ones.  Then one traced
-``pipeline`` run per side, and the tier-1 suite timed ``--tier1`` times
-per side.  The record holds, per workload and end-to-end metric, both
-sides' quartiles (``statistics.quantiles(method="inclusive")``), every
-run's value, the pairs the change won, and whether the change's median is
-worse than the parent's by more than the metric's BENCHMARK.json bound.
+in even pairs and the change first in odd ones.  Then one traced run per
+side of the claimed workload (``pipeline`` without a claim), stored under
+``trace``, and the tier-1 suite timed ``--tier1`` times per side.  The
+record holds, per workload and end-to-end metric, both sides' quartiles
+(``statistics.quantiles(method="inclusive")``), every run's value, the
+pairs the change won, and whether the change's median is worse than the
+parent's by more than the metric's BENCHMARK.json bound.
 Only when ``--claim WORKLOAD:METRIC`` names a claimed gain does it judge
 one (the change wins at least 9 of 10 pairs and the medians differ by
 more than the parent's interquartile distance); otherwise ``claim`` is
@@ -36,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_KEYS = ("cli.self_s", "cli.busy_s", "pipeline.busy_s", "pipeline.self_s",
               "group_engine.calls", "group_engine.busy_s", "core.calls", "core.self_s",
+              "oracle.calls", "oracle.busy_s", "oracle.self_s",
               "cli.json_out_s", "cli.report_bytes")
 
 
@@ -92,15 +94,16 @@ def summarize(rows: list[dict], spec: dict) -> dict:
     return out
 
 
-def traced(trees: dict, seed: int, seconds: float, tmp: Path) -> dict:
+def traced(trees: dict, workload: str, seed: int, seconds: float, tmp: Path) -> dict:
     sys.path.insert(0, str(trees["change"] / "orbitbench"))
     import workloads
 
     (tmp / "count").mkdir()
-    per_round = len(workloads.generate("pipeline", seed, str(tmp / "count")))
-    out = {"run": f"run.py --workload pipeline --seed {seed} --seconds {seconds:g} --trace 1"}
+    per_round = len(workloads.generate(workload, seed, str(tmp / "count")))
+    out = {"workload": workload,
+           "run": f"run.py --workload {workload} --seed {seed} --seconds {seconds:g} --trace 1"}
     for side in SIDES:
-        result, _ = run(trees[side], "pipeline", seed, seconds, 1)
+        result, _ = run(trees[side], workload, seed, seconds, 1)
         # one warm round, then the same number of plain and traced rounds
         requests = (result["attempted"] - per_round) // 2
         totals = {k: result["metrics"][k]["value"] for k in TRACE_KEYS}
@@ -171,6 +174,7 @@ def main(argv=None) -> int:
         record["conditions"] = {**conditions, "python": platform.python_version(),
                                 "platform": platform.platform()}
         record["claim"] = None
+        workload = "pipeline"
         if args.claim is not None:
             workload, name = args.claim.split(":")
             m = record["workloads"][workload]["metrics"][name]
@@ -181,8 +185,8 @@ def main(argv=None) -> int:
                         "the parent's interquartile distance",
                 "met": m["change_wins"] >= 0.9 * m["pairs"] and gap > m["parent_iqr"],
             }
-        record["trace_pipeline"] = traced(trees, args.first_seed + 10, args.trace_seconds,
-                                          Path(tmp))
+        record["trace"] = traced(trees, workload, args.first_seed + 10, args.trace_seconds,
+                                 Path(tmp))
         record["tier1"] = tier1(trees, args.tier1)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     worse = [f"{w}:{name}" for w, summary in record["workloads"].items()
