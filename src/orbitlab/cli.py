@@ -7,7 +7,8 @@ is false, 2 on input or usage errors.
 
 Reports are byte-identical across repeated runs with the same inputs,
 except for the timing field.  The argument parser is built once per
-process, on the first request, and reused by every later one.
+process, on the first request, and reused by every later one.  The leading
+subcommand names are looked up, so only the parser they name parses a request.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
@@ -165,14 +166,16 @@ def _error_text(exc: BaseException) -> str:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top parser, and the subcommands action of each parser that has one."""
+    levels = {}
     parser = argparse.ArgumentParser(
         prog="orbitlab",
         description="Exact computations on finite uniform spaces: partial "
         "injections, generated relations, full groups, chain cycles, "
         "certified generator pipelines, and brute-force oracles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    levels[parser] = sub = parser.add_subparsers(dest="command", required=True)
 
     vp = sub.add_parser("validate-precycle", help="check the chain conditions")
     vp.add_argument("--in", dest="infile", required=True, metavar="GRAPHING_JSON")
@@ -181,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--in", dest="infile", required=True, metavar="PRECYCLE_JSON")
 
     rel = sub.add_parser("relation", help="generated relations, costs, joins")
-    relsub = rel.add_subparsers(dest="action", required=True)
+    levels[rel] = relsub = rel.add_subparsers(dest="action", required=True)
     rg = relsub.add_parser("generate")
     rg.add_argument("--graphing", required=True, metavar="GRAPHING_JSON")
     rc = relsub.add_parser("cost")
@@ -198,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     ver = sub.add_parser("verify", help="full-group membership and generation")
-    versub = ver.add_subparsers(dest="action", required=True)
+    levels[ver] = versub = ver.add_subparsers(dest="action", required=True)
     vm = versub.add_parser("membership")
     vm.add_argument("--perm", required=True, metavar="PERM_JSON")
     vm.add_argument("--relation", required=True, metavar="PARTITION_JSON")
@@ -224,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--out", default=None, metavar="REPORT_JSON")
 
     orc = sub.add_parser("oracle", help="exhaustive searches at tiny sizes")
-    orcsub = orc.add_subparsers(dest="action", required=True)
+    levels[orc] = orcsub = orc.add_subparsers(dest="action", required=True)
     for name in ("min-cost", "min-gens", "min-support"):
         op = orcsub.add_parser(name)
         op.add_argument("--relation", required=True, metavar="PARTITION_JSON")
@@ -232,7 +235,21 @@ def _build_parser() -> argparse.ArgumentParser:
             op.add_argument("--t", type=int, required=True, help="tuple length")
         op.add_argument("--out", default=None, metavar="RESULT_JSON")
 
-    return parser
+    return parser, levels
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The top parser's ``parse_args(argv)``: each leading subcommand name is
+    looked up, and only the parser where that walk stops parses the rest."""
+    top, levels = _build_parser()
+    parser, args, i = top, argparse.Namespace(), 0
+    while parser in levels and i < len(argv) and argv[i] in levels[parser].choices:
+        setattr(args, levels[parser].dest, argv[i])
+        parser, i = levels[parser].choices[argv[i]], i + 1
+    args, extras = parser.parse_known_args(argv[i:], args)
+    if extras:
+        top.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _cmd_validate_precycle(args):
@@ -378,9 +395,8 @@ _HANDLERS = {
 
 def dispatch(argv: list[str]) -> int:
     """Parse arguments, run the command, and print the JSON report."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

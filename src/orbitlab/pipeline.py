@@ -30,6 +30,7 @@ from .core import (
     check_same_space,
     compose,
     frac_str,
+    support_measure,
     uniform_distance,
 )
 from .cycles import PrePCycle, make_cycle, orbit_sizes
@@ -172,9 +173,6 @@ class PipelineReport:
     precycles: tuple[PrePCycle, ...]
     certificates: dict
     cost_ledger: dict
-
-    def all_certificates_true(self) -> bool:
-        return certificates_ok(self.certificates)
 
     def to_json_dict(self) -> dict:
         # No certificates: a report lists them once, at its top level.
@@ -445,7 +443,7 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
         "c": c,
         "budget_ratio": Fraction(config.p + 2, config.p) * c,
         "epsilon": 1 - (1 + Fraction(config.p, 2)) * c,
-        "u0_support_measure": Fraction(len(u0.support()), N),
+        "u0_support_measure": support_measure(u0),
         "generator_distance_sum": sum(
             (uniform_distance(g, identity) for g in reduced), start=Fraction(0)
         ),

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import io
 import json
 import math
 import os
@@ -9,14 +10,15 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitlab.cli import _build_parser, _report_text, dispatch, main
+from orbitlab.cli import _build_parser, _parse_args, _report_text, dispatch, main
 from orbitlab.core import MAX_POINTS
 from orbitlab.pipeline import MAX_CHAINS
 
@@ -148,6 +150,17 @@ class TestMakeCycle:
 
 
 class TestRelation:
+    def test_non_utf8_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"n": 2, "classes": [[0, 1]], "name": "\xff"}')
+        code, report, err = run_cli(capsys, ["relation", "cost", "--relation", str(path)])
+        assert code == 2
+        assert report["error"] == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 39: "
+            "invalid start byte"
+        )
+        assert "Traceback" not in err
+
     def test_generate(self, capsys, tmp_path):
         path = write_json(
             tmp_path,
@@ -928,6 +941,83 @@ class TestSharedParser:
         capsys.readouterr()
         assert dispatch(argv) == code
         assert capsys.readouterr() == (out, err)
+
+
+ROOT_USAGE = """\
+usage: orbitlab [-h]
+                {validate-precycle,make-cycle,relation,verify,pipeline,oracle}
+                ...
+"""
+
+# Tokens a request may hold: command names, options, values, help flags,
+# ``--``, ``--opt=value``, abbreviated options and junk.
+ARGV_TOKENS = st.sampled_from(
+    [
+        "validate-precycle", "make-cycle", "relation", "verify", "pipeline", "oracle",
+        "generate", "cost", "join", "membership", "generation", "join-generation",
+        "min-cost", "min-gens", "min-support",
+        "--in", "--graphing", "--relation", "--perm", "--gens", "--out", "--mode",
+        "--n", "--N", "--p", "--m", "--t",
+        "r.json", "3", "-1", "0x1", "a", "both", "c",
+        "-h", "--help", "--", "-", "",
+        "--relation=r.json", "--t=2", "--mode=b", "--help=x", "--n=", "-t2",
+        "--rel", "--re", "--gra", "--o", "--he", "--mo", "--N_points",
+        "frobnicate", "-x", "--foo", "-hx", "min", "oracle min-cost",
+    ]
+) | st.text(max_size=4)
+ARGV_PREFIXES = st.sampled_from(
+    [
+        [], ["oracle"], ["oracle", "min-cost"], ["oracle", "min-support"],
+        ["relation"], ["relation", "cost"], ["relation", "join"],
+        ["verify", "generation"], ["verify", "join-generation"], ["pipeline"],
+        ["make-cycle"],
+    ]
+)
+ARGVS = st.builds(
+    lambda head, tail: [*head, *tail], ARGV_PREFIXES, st.lists(ARGV_TOKENS, max_size=7)
+)
+
+
+def _parse_outcome(parse, argv):
+    """The namespace or exit code of ``parse(argv)``, and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParsePath:
+    """``_parse_args`` parses each request as the top parser's ``parse_args`` does."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(ARGVS)
+    @example(["oracle", "-h", "min-cost"])
+    @example(["relation", "join", "--relation", "a", "--", "--relation", "b"])
+    @example(["--", "oracle", "min-gens", "--relation", "r"])
+    def test_matches_parse_args(self, argv):
+        top = _build_parser()[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLUMNS", "80")
+            assert _parse_outcome(_parse_args, argv) == _parse_outcome(top.parse_args, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "min-cost", "--relation", "r", "--foo"],
+            ["oracle", "--foo", "min-cost", "--relation", "r"],
+        ],
+        ids=["after-the-leaf", "between-the-levels"],
+    )
+    def test_unrecognized_arguments_print_the_top_usage(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            ROOT_USAGE + "orbitlab: error: unrecognized arguments: --foo\n",
+        )
 
 
 class TestSubprocessEntryPoints:
