@@ -36,7 +36,6 @@ from .oracle import (
     brute_min_generating_support,
     brute_min_generators,
     brute_min_graphing_cost,
-    full_group_elements,
     naive_closure,
 )
 from .pipeline import (
@@ -116,7 +115,6 @@ __all__ = [
     "brute_min_graphing_cost",
     "brute_min_generators",
     "brute_min_generating_support",
-    "full_group_elements",
     "naive_closure",
     "__version__",
 ]

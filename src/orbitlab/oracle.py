@@ -12,18 +12,21 @@ results.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import PartialInjection, Permutation, frac_str
+from .core import PartialInjection, Permutation, SpaceMismatchError, check_same_space, frac_str
 from .relations import Graphing, Partition, cost_relation
 
 MAX_COST_POINTS = 6
 MAX_GROUP_POINTS = 5
 MAX_SUPPORT_TUPLE = 2
 _CLOSURE_CAP = 100_000
+_BYTES = bytes(range(256))
 
 
 class SearchSpaceTooLargeError(ValueError):
@@ -113,38 +116,53 @@ def brute_min_graphing_cost(relation: Partition) -> SearchResult:
     )
 
 
-def full_group_elements(relation: Partition) -> tuple[Permutation, ...]:
-    """All elements of the relation's full group, sorted by image array."""
-    classes = relation.classes()
-    per_class = [list(itertools.permutations(c)) for c in classes]
-    out = []
-    for combo in itertools.product(*per_class):
-        images = list(range(relation.n))
-        for cls_pts, targets in zip(classes, combo):
-            for src, dst in zip(cls_pts, targets):
-                images[src] = dst
-        out.append(tuple(images))
-    out.sort()
-    return tuple(Permutation._trusted(img) for img in out)
+def _cycle_types(k: int, least: int = 1):
+    """Every cycle type of Sym(k), as a non-decreasing tuple of lengths."""
+    if k == 0:
+        yield ()
+    for part in range(least, k + 1):
+        for rest in _cycle_types(k - part, part):
+            yield (part,) + rest
 
 
-def _conjugacy_representatives(
-    relation: Partition, elements: tuple[Permutation, ...]
-) -> list[int]:
-    """Position in ``elements`` of the lex-least representative of each
-    conjugacy class of the full group.
+def _group(relation: Partition) -> tuple[tuple[bytes, ...], tuple[int, ...], list[int]]:
+    """The full group in one pass: each element's ``bytes.translate`` table
+    (see ``_closure``), sorted, which is image-array order; each element's
+    support size; and the position of the lex-least element of each
+    conjugacy class, in increasing order.
 
-    Two elements of a product of symmetric groups are conjugate exactly
-    when they have the same cycle type on each class, so each element is
-    keyed by its sorted (class, cycle length) pairs.  ``elements`` is
-    sorted, so the first element seen for a key is its lex-least one.
+    Each class of at least 2 points contributes its permutations as tables,
+    multiplied into the product.  Conjugacy classes are the cycle types per
+    class.  On a sorted class the lex-least permutation of a type fixes the
+    least points, then runs cycles of increasing length over consecutive
+    points: that choice puts the least possible image at each position in
+    turn.  Classes occupy disjoint positions, so the lex-least element of a
+    combination of types is the product of the per-class minima.
     """
-    ids = relation.class_id
-    reps: dict[tuple[tuple[int, int], ...], int] = {}
-    for i, g in enumerate(elements):
-        key = tuple(sorted((ids[c[0]], len(c)) for c in g.cycles()))
-        reps.setdefault(key, i)
-    return list(reps.values())
+    tables, support, minima = [_BYTES], [0], [_BYTES]
+    for cls in relation.classes():
+        if len(cls) == 1:
+            continue
+        table = bytearray(_BYTES)
+        cls_tables, cls_support = [], []
+        for perm in itertools.permutations(cls):
+            for src, dst in zip(cls, perm):
+                table[src] = dst
+            cls_tables.append(bytes(table))
+            cls_support.append(sum(map(operator.ne, cls, perm)))
+        tables = [e.translate(t) for e in tables for t in cls_tables]
+        support = [s + c for s in support for c in cls_support]
+        cls_minima = []
+        for lengths in _cycle_types(len(cls)):
+            start = 0
+            for length in lengths:
+                for j in range(length):
+                    table[cls[start + j]] = cls[start + (j + 1) % length]
+                start += length
+            cls_minima.append(bytes(table))
+        minima = [e.translate(t) for e in minima for t in cls_minima]
+    tables, support = zip(*sorted(zip(tables, support)))
+    return tables, support, sorted(bisect.bisect_left(tables, m) for m in minima)
 
 
 def brute_min_generators(relation: Partition) -> SearchResult:
@@ -160,15 +178,13 @@ def brute_min_generators(relation: Partition) -> SearchResult:
         raise SearchSpaceTooLargeError(
             f"full-group enumeration is capped at {MAX_GROUP_POINTS} points, got {n}"
         )
-    elements = full_group_elements(relation)
-    full_order = len(elements)
+    tables, _, reps = _group(relation)
+    full_order = len(tables)
     examined = 1
     if full_order == 1:
         return SearchResult(
             optimum=0, witness=(), search_space_size=examined, exhaustive=True
         )
-    tables = _tables([g.images for g in elements], n)
-    reps = _conjugacy_representatives(relation, elements)
     # Ends by t = |G| + 1 at the latest, where a tuple lists every element.
     for t in itertools.count(1):
         for first in reps:
@@ -178,7 +194,7 @@ def brute_min_generators(relation: Partition) -> SearchResult:
                 if len(_closure([tables[i] for i in tup], n)) == full_order:
                     return SearchResult(
                         optimum=t,
-                        witness=tuple(elements[i] for i in tup),
+                        witness=_witness(tables, tup, n),
                         search_space_size=examined,
                         exhaustive=True,
                     )
@@ -208,18 +224,15 @@ def brute_min_generating_support(relation: Partition, t: int) -> SearchResult:
         raise SearchSpaceTooLargeError(
             f"tuple length must be between 0 and {MAX_SUPPORT_TUPLE}, got {t}"
         )
-    elements = full_group_elements(relation)
-    full_order = len(elements)
-    tables = _tables([g.images for g in elements], n)
-    support = [len(g.support()) for g in elements]
-    reps = _conjugacy_representatives(relation, elements)
+    tables, support, reps = _group(relation)
+    full_order = len(tables)
     pools = [reps] + [range(full_order)] * (t - 1) if t else []
     candidates = sorted(
         itertools.product(*pools), key=lambda tup: sum(map(support.__getitem__, tup))
     )
     found = next((tup for tup in candidates
                   if len(_closure([tables[i] for i in tup], n)) == full_order), None)
-    witness = None if found is None else tuple(elements[i] for i in found)
+    witness = None if found is None else _witness(tables, found, n)
     optimum = None if found is None else Fraction(sum(map(support.__getitem__, found)), n)
     rel_cost = cost_relation(relation)
     comparison = {
@@ -241,29 +254,30 @@ def naive_closure(gens, n_points: int | None = None, cap: int = _CLOSURE_CAP) ->
     closure.  Independent of the stabilizer-chain engine; refuses more than
     256 points.
     """
-    gen_list = [g.images for g in gens]
-    if gen_list:
-        n = len(gen_list[0])
-    elif n_points is None:
+    gens = list(gens)
+    if not gens and n_points is None:
         raise ValueError("an empty generator list needs an explicit n_points")
-    else:
-        n = n_points
+    for g in gens[1:]:
+        check_same_space(gens[0], g)
+    n = gens[0].n if gens else n_points
+    if n_points is not None and n_points != n:
+        raise SpaceMismatchError(f"space sizes differ: {n} != {n_points}")
     if n > 256:
         raise SearchSpaceTooLargeError(f"naive closure is capped at 256 points, got {n}")
-    return frozenset(map(tuple, _closure(_tables(gen_list, n), n, cap)))
+    tables = [bytes(g.images) + _BYTES[n:] for g in gens]
+    return frozenset(map(tuple, _closure(tables, n, cap)))
 
 
-def _tables(images, n: int) -> list[bytes]:
-    """Each image array on n points as a 256-byte ``bytes.translate`` table,
-    identity past n, so that ``p.translate(table)`` is the product g∘p."""
-    pad = bytes(range(n, 256))
-    return [bytes(img) + pad for img in images]
+def _witness(tables, positions, n: int) -> tuple[Permutation, ...]:
+    """The elements at ``positions`` as permutations on n points."""
+    return tuple(Permutation._trusted(tuple(tables[i][:n])) for i in positions)
 
 
 def _closure(tables: list[bytes], n: int, cap: int = _CLOSURE_CAP) -> set[bytes]:
     """Breadth-first closure of generator tables on n points; each element
-    is its image array as n bytes."""
-    identity = bytes(range(n))
+    is its image array as n bytes.  A table is 256 bytes, identity past n, so
+    that ``p.translate(table)`` is the product g∘p."""
+    identity = _BYTES[:n]
     seen = {identity}
     frontier = [identity]
     while frontier:

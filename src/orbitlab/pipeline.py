@@ -19,9 +19,9 @@ the case where the target group is smaller than the whole symmetric group.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .core import (
     MAX_POINTS,

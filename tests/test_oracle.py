@@ -21,8 +21,8 @@ from orbitlab import (
     brute_min_generators,
     brute_min_graphing_cost,
     cost_graphing,
+    SpaceMismatchError,
     cost_relation,
-    full_group_elements,
     full_group_order,
     generate_relation,
     group_from_generators,
@@ -32,11 +32,24 @@ from orbitlab import (
 from orbitlab.core import frac_str
 
 
+def class_preserving_arrays(relation):
+    """The full group's image arrays in lexicographic order, by filtering
+    every permutation of the points: the reference ``oracle._group`` must
+    reproduce."""
+    n = relation.n
+    return [img for img in itertools.permutations(range(n))
+            if all(relation.same(x, y) for x, y in enumerate(img))]
+
+
+def full_group(relation):
+    return [Permutation(img) for img in class_preserving_arrays(relation)]
+
+
 def lexicographic_min_support(relation, t):
     """One scan over all |G|^t tuples in lexicographic order, the reference
     ``brute_min_generating_support`` must reproduce: prune on the best total
     so far, keep the first generating tuple at the optimum."""
-    n, elements = relation.n, full_group_elements(relation)
+    n, elements = relation.n, full_group(relation)
     best = witness = None
     for tup in itertools.product(elements, repeat=t):
         total = sum(len(g.support()) for g in tup)
@@ -125,22 +138,38 @@ class TestBruteMinGraphingCost:
 
 
 class TestFullGroupElements:
+    """``oracle._group``: the full group as byte tables, support sizes and
+    conjugacy representatives, built in one pass."""
+
     def test_counts_match_orders(self):
         for n in range(1, 5):
             for rel in all_partitions(n):
-                elems = full_group_elements(rel)
-                assert len(elems) == full_group_order(rel)
-                assert len(set(elems)) == len(elems)
+                tables, support, _ = oracle._group(rel)
+                assert len(tables) == len(support) == full_group_order(rel)
+                assert len(set(tables)) == len(tables)
 
     def test_sorted_by_image_array(self):
-        elems = full_group_elements(Partition.single_class(3))
-        assert [e.images for e in elems] == sorted(e.images for e in elems)
+        tables, _, _ = oracle._group(Partition.from_classes(5, [[0, 2, 4], [1, 3]]))
+        arrays = [tuple(t[:5]) for t in tables]
+        assert arrays == sorted(arrays)
+        assert all(t[5:] == bytes(range(5, 256)) for t in tables)
 
     def test_elements_preserve_classes(self):
         rel = Partition.from_classes(4, [[0, 1], [2, 3]])
-        for g in full_group_elements(rel):
+        for table in oracle._group(rel)[0]:
             for x in range(4):
-                assert rel.same(x, g(x))
+                assert rel.same(x, table[x])
+
+    def test_matches_class_preserving_permutations(self):
+        # tables and support sizes against filtering all n! arrays, on every
+        # partition of up to 6 points
+        for n in range(1, 7):
+            for rel in all_partitions(n):
+                tables, support, _ = oracle._group(rel)
+                arrays = class_preserving_arrays(rel)
+                assert [tuple(t[:n]) for t in tables] == arrays
+                assert list(support) == [sum(x != y for x, y in enumerate(img))
+                                         for img in arrays]
 
 
 class TestBruteMinGenerators:
@@ -179,7 +208,7 @@ class TestBruteMinGenerators:
             if res.optimum == 0:
                 continue
             shorter = res.optimum - 1
-            elems = full_group_elements(rel)
+            elems = full_group(rel)
             for tup in itertools.product(elems, repeat=shorter):
                 order = len(naive_closure(tup)) if tup else 1
                 assert order < full_group_order(rel)
@@ -200,12 +229,13 @@ class TestBruteMinGenerators:
         assert len(naive_closure(res.witness)) == 2**k
 
     def test_representatives_match_pairwise_conjugation(self):
-        # cycle type per class against conjugating by every element, on
-        # every partition of up to 5 points, order included
-        for n in range(1, 6):
+        # the closed-form lex-least element per cycle type and class against
+        # conjugating by every element, on every partition of up to 6
+        # points, order included
+        for n in range(1, 7):
             for rel in all_partitions(n):
-                elems = full_group_elements(rel)
-                got = [elems[i] for i in oracle._conjugacy_representatives(rel, elems)]
+                elems = full_group(rel)
+                got = [elems[i] for i in oracle._group(rel)[2]]
                 assert got == pairwise_conjugacy_representatives(elems)
 
 
@@ -367,6 +397,16 @@ class TestNaiveClosureBytes:
         assert naive_closure((t,), cap=2) == {tuple(range(256)), t.images}
         with pytest.raises(SearchSpaceTooLargeError):
             naive_closure((t,), cap=1)
+
+    def test_refuses_generators_on_different_spaces(self):
+        with pytest.raises(SpaceMismatchError, match="3 != 4"):
+            naive_closure((Permutation((1, 0, 2)), Permutation((1, 0, 2, 3))))
+
+    def test_refuses_n_points_other_than_the_generators(self):
+        with pytest.raises(SpaceMismatchError, match="3 != 5"):
+            naive_closure((Permutation((1, 0, 2)),), n_points=5)
+        assert naive_closure((Permutation((1, 0, 2)),), n_points=3) == {
+            (0, 1, 2), (1, 0, 2)}
 
     def test_refuses_more_than_256_points(self):
         with pytest.raises(SearchSpaceTooLargeError):
