@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import PartialInjection, Permutation, SpaceMismatchError, check_same_space, frac_str
+from .core import (
+    PartialInjection,
+    Permutation,
+    SpaceMismatchError,
+    check_same_space,
+    check_space,
+    frac_str,
+)
 from .relations import Graphing, Partition, cost_relation
 
 MAX_COST_POINTS = 6
@@ -260,8 +267,10 @@ def naive_closure(gens, n_points: int | None = None, cap: int = _CLOSURE_CAP) ->
     for g in gens[1:]:
         check_same_space(gens[0], g)
     n = gens[0].n if gens else n_points
-    if n_points is not None and n_points != n:
-        raise SpaceMismatchError(f"space sizes differ: {n} != {n_points}")
+    if n_points is not None:
+        check_space(n_points, "n_points")
+        if n_points != n:
+            raise SpaceMismatchError(f"space sizes differ: {n} != {n_points}")
     if n > 256:
         raise SearchSpaceTooLargeError(f"naive closure is capped at 256 points, got {n}")
     tables = [bytes(g.images) + _BYTES[n:] for g in gens]

@@ -36,9 +36,9 @@ def class_preserving_arrays(relation):
     """The full group's image arrays in lexicographic order, by filtering
     every permutation of the points: the reference ``oracle._group`` must
     reproduce."""
-    n = relation.n
-    return [img for img in itertools.permutations(range(n))
-            if all(relation.same(x, y) for x, y in enumerate(img))]
+    ids = relation.class_id
+    return [img for img in itertools.permutations(range(relation.n))
+            if tuple(map(ids.__getitem__, img)) == ids]
 
 
 def full_group(relation):
@@ -68,11 +68,12 @@ def lexicographic_min_support(relation, t):
 def pairwise_conjugacy_representatives(elements):
     """Lex-least element of each conjugacy class, by conjugating every
     element by every element."""
+    pairs = [(h, h.inverse()) for h in elements]
     reps, seen = [], set()
     for g in elements:
         if g not in seen:
             reps.append(g)
-            seen.update(h * g * h.inverse() for h in elements)
+            seen.update(h * g * h_inv for h, h_inv in pairs)
     return reps
 
 
@@ -407,6 +408,11 @@ class TestNaiveClosureBytes:
             naive_closure((Permutation((1, 0, 2)),), n_points=5)
         assert naive_closure((Permutation((1, 0, 2)),), n_points=3) == {
             (0, 1, 2), (1, 0, 2)}
+
+    def test_checks_n_points_as_a_space_size(self):
+        for bad in (0, -3, True):
+            with pytest.raises(ValueError, match="n_points"):
+                naive_closure((), n_points=bad)
 
     def test_refuses_more_than_256_points(self):
         with pytest.raises(SearchSpaceTooLargeError):
