@@ -17,11 +17,11 @@ from orbitlab import (
     Permutation,
     SearchResult,
     SearchSpaceTooLargeError,
+    SpaceMismatchError,
     brute_min_generating_support,
     brute_min_generators,
     brute_min_graphing_cost,
     cost_graphing,
-    SpaceMismatchError,
     cost_relation,
     full_group_order,
     generate_relation,
