@@ -24,12 +24,7 @@ from .cycles import (
     orbit_sizes,
     validate_precycle,
 )
-from .group_engine import (
-    PermGroup,
-    check_join_generation,
-    generates_full_group,
-    group_from_generators,
-)
+from .group_engine import check_join_generation, generates_full_group
 from .oracle import (
     SearchResult,
     SearchSpaceTooLargeError,
@@ -95,8 +90,6 @@ __all__ = [
     "orbit_sizes",
     "conjugate_partial",
     "isopgen_generators",
-    "PermGroup",
-    "group_from_generators",
     "generates_full_group",
     "check_join_generation",
     "PipelineConfig",

@@ -96,6 +96,8 @@ class Permutation:
         for cycle in cycles:
             cyc = list(cycle)
             for x in cyc:
+                if type(x) is not int or not 0 <= x < n:
+                    raise ValueError(f"point {x!r} outside the space of size {n}")
                 if x in moved:
                     raise ValueError(f"cycles are not disjoint at point {x}")
                 moved.add(x)
@@ -200,15 +202,6 @@ class PartialInjection:
             targets.add(t)
         object.__setattr__(self, "_forward", dict(pairs))
 
-    @classmethod
-    def empty(cls, n: int) -> "PartialInjection":
-        return cls(n, ())
-
-    @classmethod
-    def from_permutation(cls, perm: Permutation) -> "PartialInjection":
-        """The permutation viewed as a partial injection with full domain."""
-        return cls(perm.n, tuple(enumerate(perm.images)))
-
     @property
     def dom(self) -> frozenset[int]:
         return frozenset(s for s, _ in self.pairs)
@@ -229,9 +222,6 @@ class PartialInjection:
 
     def get(self, x: int) -> int | None:
         return self._forward.get(x)
-
-    def inverse(self) -> "PartialInjection":
-        return PartialInjection(self.n, tuple((t, s) for s, t in self.pairs))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "pairs": [[s, t] for s, t in self.pairs]}

@@ -1,8 +1,8 @@
 """Exact permutation-group computations and full-group certificates.
 
-Every exact order comes from ``PermGroup``, given generators and a
-partition they all preserve: the relation being certified, or the
-generators' orbits.
+``generates_full_group`` is the one entry point.  Its exact order comes
+from ``_generated_order``, given generators and a partition they all
+preserve: the relation being certified, or the generators' orbits.
 
 * **Transposition closure.**  Transpositions of the generated group H are
   collected first: each generator that is a transposition, or whose cycles
@@ -14,7 +14,7 @@ generators' orbits.
   full group of the partition.  No stabilizer chain is built.
 * **Sims table.**  Otherwise a stabilizer chain, built as Knuth's Sims
   table ("Efficient representation of perm groups", Combinatorica 11,
-  1991), gives the exact order, and membership is decided by sifting.
+  1991), gives the exact order.
 
 The chain is deterministic and seedless: each new level's base point is
 the least point moved by the first element to reach it, and one
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import decimal
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Permutation, SpaceMismatchError, check_same_space
+from .core import Permutation
 from .relations import (
     Partition,
     full_group_generators,
@@ -117,67 +117,25 @@ class _Chain:
         self._pairs.extend((j, g, u) for u in reversed(self.transversals[j].values()))
 
 
-class PermGroup:
-    """An immutable permutation group with its exact order.
+def _generated_order(gens: Sequence[tuple[int, ...]], blocks: Partition) -> int:
+    """The order of the group generated by the raw generators.
 
-    Every generator, a raw image tuple, must preserve the classes of
-    ``blocks``.  When their transposition closure fills every class, the
-    group is the full group of ``blocks`` and ``contains`` is the O(n)
-    class check; otherwise a Sims table gives the order and
-    ``contains`` sifts.  Safe to share across threads once constructed.
+    Every generator must preserve the classes of ``blocks``.  When their
+    transposition closure fills every class, the group is the full group
+    of ``blocks``; otherwise a Sims table gives the order.
     """
-
-    __slots__ = ("n", "order", "_blocks", "_chain")
-
-    def __init__(self, gens: Sequence[tuple[int, ...]], blocks: Partition):
-        self.n = blocks.n
-        self._blocks = blocks
-        if _transposition_closure_is_full(gens, blocks):
-            self._chain = None
-            self.order = full_group_order(blocks)
-        else:
-            self._chain = _Chain(self.n)
-            for g in gens:
-                self._chain.add(g)
-            self.order = self._chain.order()
-
-    def contains(self, perm: Permutation) -> bool:
-        if self._chain is None:
-            return in_full_group(perm, self._blocks)
-        check_same_space(perm, self)
-        return self._chain.strip(perm.images) == self._chain.identity
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return self.contains(perm)
-
-    def __repr__(self) -> str:
-        return f"PermGroup(n={self.n}, order={self.order})"
+    if _transposition_closure_is_full(gens, blocks):
+        return full_group_order(blocks)
+    chain = _Chain(blocks.n)
+    for g in gens:
+        chain.add(g)
+    return chain.order()
 
 
 def _orbits(gens: Sequence[tuple[int, ...]], n: int) -> Partition:
     """The orbits of the group generated by the raw generators."""
     pairs = ((x, y) for g in gens for x, y in enumerate(g) if x != y)
     return Partition.from_pairs(n, pairs)
-
-
-def group_from_generators(
-    gens: Iterable[Permutation], n_points: int | None = None
-) -> PermGroup:
-    """Build the group generated by the given permutations.
-
-    ``n_points`` is only required when the generator list is empty.
-    Deterministic for a fixed input order.
-    """
-    gen_list = list(gens)
-    if n_points is None:
-        if not gen_list:
-            raise ValueError("an empty generator list needs an explicit n_points")
-        n_points = gen_list[0].n
-    for g in gen_list:
-        if g.n != n_points:
-            raise SpaceMismatchError(f"space sizes differ: {g.n} != {n_points}")
-    images = [g.images for g in gen_list]
-    return PermGroup(images, _orbits(images, n_points))
 
 
 def _transposition_seed(p: tuple[int, ...]) -> tuple[int, int] | None:
@@ -210,7 +168,7 @@ def _transposition_closure_is_full(
     """True when the transpositions found in <gens> join up every class.
 
     Requires every generator to preserve the classes of ``blocks``;
-    ``PermGroup`` runs it before it would build any chain.
+    ``_generated_order`` runs it before it would build any chain.
     Invariant: two points share a union-find set only if their
     transposition lies in the generated group H.  Seeds keep it; so does
     joining g(a) with g(b) for a joined pair (a, b), as
@@ -258,14 +216,14 @@ def generates_full_group(
     True iff every generator moves points only within their classes and the
     generated order equals the full-group order.  The certificate records
     both orders as decimal strings.  The exact generated order comes from
-    ``PermGroup`` over the relation when every generator preserves it, and
-    over the generators' orbits otherwise.
+    ``_generated_order``, over the relation when every generator preserves
+    it and over the generators' orbits otherwise.
     """
     gen_list = list(gens)
     # A list, so that in_full_group checks the space of every generator.
     in_fg = all([in_full_group(g, relation) for g in gen_list])
     images = [g.images for g in gen_list]
-    order = PermGroup(images, relation if in_fg else _orbits(images, relation.n)).order
+    order = _generated_order(images, relation if in_fg else _orbits(images, relation.n))
     target = full_group_order(relation)
     ok = in_fg and order == target
     # Decimal prints every digit: str(int) refuses more than 4 300 of them.

@@ -49,10 +49,6 @@ class Partition:
         return len(self.class_id)
 
     @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def single_class(cls, n: int) -> "Partition":
         return cls((0,) * n) if n else cls(())
 
@@ -110,9 +106,6 @@ class Partition:
     def num_classes(self) -> int:
         return sum(1 for x, r in enumerate(self.class_id) if x == r)
 
-    def same(self, a: int, b: int) -> bool:
-        return self.class_id[a] == self.class_id[b]
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "classes": [list(c) for c in self.classes()]}
 
@@ -142,12 +135,6 @@ class Graphing:
                 raise SpaceMismatchError(
                     f"map {i} lives on a space of size {phi.n}, expected {self.n}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def __getitem__(self, i: int) -> PartialInjection:
-        return self.maps[i]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "maps": [phi.to_json_dict() for phi in self.maps]}

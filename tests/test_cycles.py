@@ -47,7 +47,7 @@ class TestPrePCycleValidation:
 
     def test_maps_must_be_nonempty(self):
         with pytest.raises(ValueError, match="empty"):
-            PrePCycle(4, (PartialInjection.empty(4),))
+            PrePCycle(4, (PartialInjection(4, ()),))
 
     def test_range_must_equal_next_domain(self):
         with pytest.raises(ChainingError) as exc:

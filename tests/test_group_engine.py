@@ -1,16 +1,19 @@
-"""Permutation-group construction, membership, and generation certificates.
+"""Permutation-group orders, membership, and generation certificates.
 
 The deterministic chain builder is driven directly and cross-checked
 against a naive breadth-first closure on every small case, so the two
-routes to the group order are independent.  ``PermGroup``, which proves
-full groups by transposition closure and builds a chain otherwise, is
-cross-checked against both.
+routes to the group order are independent.  ``_generated_order``, the
+order behind ``generates_full_group``, proves full groups by
+transposition closure and builds a chain otherwise; it is cross-checked
+against both.  Membership is decided by sifting through the chain, or by
+the class check when the closure proved the full group.
 """
 
 import inspect
 import math
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,19 +22,24 @@ from hypothesis import strategies as st
 from helpers import random_partition, random_permutation
 from orbitlab import (
     Partition,
-    PermGroup,
     Permutation,
     SpaceMismatchError,
     check_join_generation,
     full_group_generators,
     full_group_order,
     generates_full_group,
-    group_from_generators,
+    group_engine,
     in_full_group,
     join,
     naive_closure,
 )
-from orbitlab.group_engine import _Chain, _transposition_closure_is_full, _transposition_seed
+from orbitlab.group_engine import (
+    _Chain,
+    _generated_order,
+    _orbits,
+    _transposition_closure_is_full,
+    _transposition_seed,
+)
 
 
 def chain_of(gens, n):
@@ -45,6 +53,22 @@ def chain_of(gens, n):
 def sifts(chain, perm):
     """Membership by sifting through the chain."""
     return chain.strip(perm.images) == chain.identity
+
+
+def generated_order(gens, n, blocks=None):
+    """``_generated_order`` over ``blocks``, the generators' orbits by
+    default, and the Sims table it built: None when the transposition
+    closure proved the order.  A spy on ``_Chain`` catches the table."""
+    images = [g.images for g in gens]
+    built = []
+
+    def spy(size):
+        built.append(_Chain(size))
+        return built[-1]
+
+    with mock.patch.object(group_engine, "_Chain", spy):
+        order = _generated_order(images, _orbits(images, n) if blocks is None else blocks)
+    return order, (built[0] if built else None)
 
 
 def sym_gens(n):
@@ -169,7 +193,7 @@ def orbit_swaps(closure, n):
 
 
 class TestOneRoute:
-    """``PermGroup`` against the chain built directly and naive closure."""
+    """``_generated_order`` against the chain built directly and naive closure."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 10**6))
@@ -181,21 +205,23 @@ class TestOneRoute:
         closure = naive_closure(gens, n)
         chain = chain_of(gens, n)
         assert chain.order() == len(closure)
-        groups = [group_from_generators(gens, n_points=n)]
+        images = [g.images for g in gens]
+        partitions = [_orbits(images, n)]
         if all(in_full_group(g, rel) for g in gens):
-            groups.append(PermGroup([g.images for g in gens], rel))
-        for group in groups:
-            assert group.order == chain.order()
-            if group._chain is not None:
+            partitions.append(rel)
+        for blocks in partitions:
+            order, built = generated_order(gens, n, blocks)
+            assert order == chain.order()
+            if built is not None:
                 continue
             # Proved by the closure: membership is the O(n) class check.
             swaps = orbit_swaps(closure, n)
             for p in swaps:
-                assert not group.contains(p)
+                assert not in_full_group(p, blocks)
             members = [Permutation(images) for images in sorted(closure)[:5]]
             others = [random_permutation(rng, n) for _ in range(5)]
             for p in swaps + members + others:
-                assert group.contains(p) == sifts(chain, p) == (p.images in closure)
+                assert in_full_group(p, blocks) == sifts(chain, p) == (p.images in closure)
 
     def test_shapes_reach_both_routes(self):
         counts = {"closure": 0, "chain": 0, "swaps": 0}
@@ -203,8 +229,7 @@ class TestOneRoute:
             rng = random.Random(seed)
             rel = random_partition(rng, rng.randint(1, 8))
             gens = engine_sets(rng, rel)
-            group = group_from_generators(gens, n_points=rel.n)
-            if group._chain is None:
+            if generated_order(gens, rel.n)[1] is None:
                 counts["closure"] += 1
                 counts["swaps"] += bool(orbit_swaps(naive_closure(gens, rel.n), rel.n))
             else:
@@ -215,27 +240,24 @@ class TestOneRoute:
         # No transposition seeds: the order comes from the chain, at scale.
         n = 20
         gens = [Permutation.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
-        group = group_from_generators(gens)
-        assert group._chain is not None
-        assert group.order == math.factorial(n) // 2
-        assert Permutation.from_cycles(n, [(0, 1, 2)]) in group
-        assert Permutation.from_cycles(n, [(0, 1)]) not in group
+        order, chain = generated_order(gens, n)
+        assert chain is not None
+        assert order == math.factorial(n) // 2
+        assert sifts(chain, Permutation.from_cycles(n, [(0, 1, 2)]))
+        assert not sifts(chain, Permutation.from_cycles(n, [(0, 1)]))
 
 
 class TestGroupFromGenerators:
     def test_trivial_group_needs_explicit_space(self):
-        g = group_from_generators((), n_points=4)
-        assert g.order == 1
-        assert Permutation.identity(4) in g
-        with pytest.raises(ValueError):
-            group_from_generators(())
+        # With no generators, only the partition gives the space.
+        assert generated_order((), 4) == (1, None)
 
     def test_symmetric_group_orders(self):
         for n in range(2, 9):
-            assert group_from_generators(sym_gens(n)).order == math.factorial(n)
+            assert generated_order(sym_gens(n), n)[0] == math.factorial(n)
 
     def test_large_space_exact_order(self):
-        assert group_from_generators(sym_gens(40)).order == math.factorial(40)
+        assert generated_order(sym_gens(40), 40)[0] == math.factorial(40)
 
     def test_cyclic_group(self):
         c = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
@@ -244,24 +266,17 @@ class TestGroupFromGenerators:
         assert chain.order() == len(naive_closure((c,))) == 6
         assert sifts(chain, c ** 4)
         assert not sifts(chain, swap)
-        g = group_from_generators((c,))
-        assert g.order == 6
-        assert c ** 4 in g
-        assert swap not in g
+        assert generated_order((c,), 6)[0] == 6
 
     def test_membership_by_sifting(self):
         gens = sym_gens(5)
         chain = chain_of(gens, 5)
         members = naive_closure(gens)
-        g = group_from_generators(gens)
         rng = random.Random(11)
         for _ in range(20):
             p = random_permutation(rng, 5)
             assert p.images in members
             assert sifts(chain, p)
-            assert p in g
-        with pytest.raises(SpaceMismatchError):
-            g.contains(Permutation.identity(4))
 
     @pytest.mark.parametrize("b, k", [(2, 10), (4, 6), (6, 4)])
     def test_wreath_products_past_naive_closure(self, b, k):
@@ -276,23 +291,23 @@ class TestGroupFromGenerators:
         )
         order = math.factorial(b) ** k * math.factorial(k)
         assert order > inspect.signature(naive_closure).parameters["cap"].default
-        group = group_from_generators(gens)
-        assert group._chain is not None
-        assert group.order == order
+        got, chain = generated_order(gens, n)
+        assert chain is not None
+        assert got == order
         keeps_blocks = Permutation.from_cycles(
             n, [(blocks[0][j], blocks[2][j]) for j in range(b)] + [blocks[1][:2]]
         )
-        assert keeps_blocks in group
-        assert Permutation.from_cycles(n, [(blocks[0][0], blocks[1][0])]) not in group
+        assert sifts(chain, keeps_blocks)
+        assert not sifts(chain, Permutation.from_cycles(n, [(blocks[0][0], blocks[1][0])]))
 
     def test_cycle_longer_than_the_recursion_limit(self):
         n = sys.getrecursionlimit() + 1
         c = Permutation.from_cycles(n, [tuple(range(n))])
-        group = group_from_generators((c,))
-        assert group._chain is not None
-        assert group.order == n
-        assert c ** 7 in group
-        assert Permutation.from_cycles(n, [(0, 1)]) not in group
+        order, chain = generated_order((c,), n)
+        assert chain is not None
+        assert order == n
+        assert sifts(chain, c ** 7)
+        assert not sifts(chain, Permutation.from_cycles(n, [(0, 1)]))
 
     def test_klein_four_group(self):
         a = Permutation.from_cycles(4, [(0, 1), (2, 3)])
@@ -300,14 +315,12 @@ class TestGroupFromGenerators:
         chain = chain_of((a, b), 4)
         assert chain.order() == len(naive_closure((a, b))) == 4
         assert sifts(chain, a * b)
-        g = group_from_generators((a, b))
-        assert g.order == 4
-        assert a * b in g
+        assert generated_order((a, b), 4)[0] == 4
 
     def test_mismatched_generator_spaces_rejected(self):
-        with pytest.raises(ValueError):
-            group_from_generators(
-                (Permutation.identity(3), Permutation.identity(4))
+        with pytest.raises(SpaceMismatchError):
+            generates_full_group(
+                (Permutation.identity(3), Permutation.identity(4)), Partition.single_class(3)
             )
 
     @settings(deadline=None, max_examples=60)
@@ -319,7 +332,7 @@ class TestGroupFromGenerators:
         expected = len(naive_closure(gens, n))
         got = chain_of(gens, n).order()
         assert got == expected
-        assert group_from_generators(gens, n_points=n).order == expected
+        assert generated_order(gens, n)[0] == expected
         assert math.factorial(n) % got == 0  # Lagrange
 
     @settings(deadline=None, max_examples=30)
@@ -340,10 +353,8 @@ class TestGroupFromGenerators:
         n = rng.randint(1, 5)
         gens = tuple(random_permutation(rng, n) for _ in range(2))
         chain = chain_of(gens, n)
-        g = group_from_generators(gens)
         for images in naive_closure(gens):
             assert sifts(chain, Permutation(images))
-            assert Permutation(images) in g
 
 
 class TestNaiveClosure:
@@ -396,7 +407,7 @@ class TestGeneratesFullGroup:
         assert cert["generates"] is False
 
     def test_empty_generators_only_generate_trivial(self):
-        ok, cert = generates_full_group((), Partition.singletons(3))
+        ok, cert = generates_full_group((), Partition(tuple(range(3))))
         assert ok and cert["generated_order"] == "1"
         ok, cert = generates_full_group((), Partition.single_class(3))
         assert not ok
