@@ -55,7 +55,7 @@ def sifts(chain, perm):
     return chain.strip(perm.images) == chain.identity
 
 
-def generated_order(gens, n, blocks=None):
+def order_and_chain(gens, n, blocks=None):
     """``_generated_order`` over ``blocks``, the generators' orbits by
     default, and the Sims table it built: None when the transposition
     closure proved the order.  A spy on ``_Chain`` catches the table."""
@@ -205,12 +205,11 @@ class TestOneRoute:
         closure = naive_closure(gens, n)
         chain = chain_of(gens, n)
         assert chain.order() == len(closure)
-        images = [g.images for g in gens]
-        partitions = [_orbits(images, n)]
+        partitions = [_orbits([g.images for g in gens], n)]
         if all(in_full_group(g, rel) for g in gens):
             partitions.append(rel)
         for blocks in partitions:
-            order, built = generated_order(gens, n, blocks)
+            order, built = order_and_chain(gens, n, blocks)
             assert order == chain.order()
             if built is not None:
                 continue
@@ -229,7 +228,7 @@ class TestOneRoute:
             rng = random.Random(seed)
             rel = random_partition(rng, rng.randint(1, 8))
             gens = engine_sets(rng, rel)
-            if generated_order(gens, rel.n)[1] is None:
+            if order_and_chain(gens, rel.n)[1] is None:
                 counts["closure"] += 1
                 counts["swaps"] += bool(orbit_swaps(naive_closure(gens, rel.n), rel.n))
             else:
@@ -240,7 +239,7 @@ class TestOneRoute:
         # No transposition seeds: the order comes from the chain, at scale.
         n = 20
         gens = [Permutation.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
-        order, chain = generated_order(gens, n)
+        order, chain = order_and_chain(gens, n)
         assert chain is not None
         assert order == math.factorial(n) // 2
         assert sifts(chain, Permutation.from_cycles(n, [(0, 1, 2)]))
@@ -248,16 +247,18 @@ class TestOneRoute:
 
 
 class TestGroupFromGenerators:
+    """Orders from ``_generated_order`` and membership by sifting."""
+
     def test_trivial_group_needs_explicit_space(self):
         # With no generators, only the partition gives the space.
-        assert generated_order((), 4) == (1, None)
+        assert order_and_chain((), 4) == (1, None)
 
     def test_symmetric_group_orders(self):
         for n in range(2, 9):
-            assert generated_order(sym_gens(n), n)[0] == math.factorial(n)
+            assert order_and_chain(sym_gens(n), n)[0] == math.factorial(n)
 
     def test_large_space_exact_order(self):
-        assert generated_order(sym_gens(40), 40)[0] == math.factorial(40)
+        assert order_and_chain(sym_gens(40), 40)[0] == math.factorial(40)
 
     def test_cyclic_group(self):
         c = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
@@ -266,7 +267,7 @@ class TestGroupFromGenerators:
         assert chain.order() == len(naive_closure((c,))) == 6
         assert sifts(chain, c ** 4)
         assert not sifts(chain, swap)
-        assert generated_order((c,), 6)[0] == 6
+        assert order_and_chain((c,), 6)[0] == 6
 
     def test_membership_by_sifting(self):
         gens = sym_gens(5)
@@ -291,7 +292,7 @@ class TestGroupFromGenerators:
         )
         order = math.factorial(b) ** k * math.factorial(k)
         assert order > inspect.signature(naive_closure).parameters["cap"].default
-        got, chain = generated_order(gens, n)
+        got, chain = order_and_chain(gens, n)
         assert chain is not None
         assert got == order
         keeps_blocks = Permutation.from_cycles(
@@ -303,7 +304,7 @@ class TestGroupFromGenerators:
     def test_cycle_longer_than_the_recursion_limit(self):
         n = sys.getrecursionlimit() + 1
         c = Permutation.from_cycles(n, [tuple(range(n))])
-        order, chain = generated_order((c,), n)
+        order, chain = order_and_chain((c,), n)
         assert chain is not None
         assert order == n
         assert sifts(chain, c ** 7)
@@ -315,7 +316,7 @@ class TestGroupFromGenerators:
         chain = chain_of((a, b), 4)
         assert chain.order() == len(naive_closure((a, b))) == 4
         assert sifts(chain, a * b)
-        assert generated_order((a, b), 4)[0] == 4
+        assert order_and_chain((a, b), 4)[0] == 4
 
     def test_mismatched_generator_spaces_rejected(self):
         with pytest.raises(SpaceMismatchError):
@@ -332,7 +333,7 @@ class TestGroupFromGenerators:
         expected = len(naive_closure(gens, n))
         got = chain_of(gens, n).order()
         assert got == expected
-        assert generated_order(gens, n)[0] == expected
+        assert order_and_chain(gens, n)[0] == expected
         assert math.factorial(n) % got == 0  # Lagrange
 
     @settings(deadline=None, max_examples=30)
