@@ -105,7 +105,8 @@ class Permutation:
                 images[a] = b
             if cyc:
                 images[cyc[-1]] = cyc[0]
-        return cls(tuple(images))
+        # Disjoint cycles of in-range points describe a bijection.
+        return cls._trusted(tuple(images))
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -178,6 +179,8 @@ class PartialInjection:
     Stored as the sorted tuple of (source, target) pairs, so structural
     equality coincides with mathematical equality.  The domain measure is
     ``len(pairs) / n``; the range automatically has the same measure.
+    ``dom`` and ``rng``, the frozensets of sources and of targets, are
+    built once, by the validation.
     """
 
     n: int
@@ -200,15 +203,9 @@ class PartialInjection:
                 raise ValueError(f"duplicate target {t}")
             sources.add(s)
             targets.add(t)
+        object.__setattr__(self, "dom", frozenset(sources))
+        object.__setattr__(self, "rng", frozenset(targets))
         object.__setattr__(self, "_forward", dict(pairs))
-
-    @property
-    def dom(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.pairs)
-
-    @property
-    def rng(self) -> frozenset[int]:
-        return frozenset(t for _, t in self.pairs)
 
     @property
     def domain_measure(self) -> Fraction:

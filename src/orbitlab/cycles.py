@@ -11,7 +11,6 @@ yields a permutation all of whose nontrivial orbits have size exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import PartialInjection, Permutation, check_same_space, check_space
 from .relations import Graphing, full_group_generators, generate_relation
@@ -88,15 +87,6 @@ class PrePCycle:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "maps": [phi.to_json_dict() for phi in self.maps]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "PrePCycle":
-        try:
-            n = data["n"]
-            maps = data["maps"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"chain JSON needs 'n' and 'maps': {exc}") from exc
-        return cls(n, tuple(PartialInjection.from_json_dict(m) for m in maps))
 
 
 def validate_precycle(graphing: Graphing) -> PrePCycle:

@@ -5,13 +5,14 @@ from ``_generated_order``, given generators and a partition they all
 preserve: the relation being certified, or the generators' orbits.
 
 * **Transposition closure.**  Transpositions of the generated group H are
-  collected first: each generator that is a transposition, or whose cycles
-  are one 2-cycle plus odd cycles (a power of it is that 2-cycle).
-  Conjugates and products of overlapping transpositions give more, so
-  closing those pairs under the generators with a union-find pass
-  (Atkinson's minimal-block algorithm) only ever joins points whose
-  transposition lies in H.  If the closure fills every class, H is the
-  full group of the partition.  No stabilizer chain is built.
+  taken from the generators one at a time: a generator that is a
+  transposition, or whose cycles are one 2-cycle plus odd cycles (a power
+  of it is that 2-cycle), seeds its 2-cycle.  Conjugates and products of
+  overlapping transpositions give more, so closing each seed under the
+  generators (Atkinson's minimal-block algorithm, on a label per point)
+  only ever joins points whose transposition lies in H.  As soon as the
+  sets fill every class, H is the full group of the partition.  No
+  stabilizer chain is built.
 * **Sims table.**  Otherwise a stabilizer chain, built as Knuth's Sims
   table ("Efficient representation of perm groups", Combinatorica 11,
   1991), gives the exact order.
@@ -169,42 +170,46 @@ def _transposition_closure_is_full(
 
     Requires every generator to preserve the classes of ``blocks``;
     ``_generated_order`` runs it before it would build any chain.
-    Invariant: two points share a union-find set only if their
-    transposition lies in the generated group H.  Seeds keep it; so does
-    joining g(a) with g(b) for a joined pair (a, b), as
-    g (a b) g^-1 = (g(a) g(b)); and so does every union, as
-    (x y) = (x a)(a y)(x a).  Each union queues the pair it joined and
-    every queued pair is closed under every generator, so the final sets
-    form the least block system holding the seeds.  When they are the
-    classes, H contains the full group, which in turn contains H.
+    Invariant: two points share a set only if their transposition lies in
+    the generated group H.  Seeds keep it; so does joining g(a) with g(b)
+    for a joined pair (a, b), as g (a b) g^-1 = (g(a) g(b)); and so does
+    every join, as (x y) = (x a)(a y)(x a).  Each join queues the pair it
+    joined and every queued pair is closed under every generator, so after
+    each seed the sets form the least block system holding the seeds so
+    far.  When they are the classes, H contains the full group, which in
+    turn contains H.  Each point carries the label of its set, and a join
+    relabels the smaller set, so the joins cost O(n log n) in all and each
+    closing step O(|gens|).
     """
-    parent = list(range(blocks.n))
+    label = list(range(blocks.n))
+    members = [[x] for x in label]
     joined: list[tuple[int, int]] = []
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            joined.append((ra, rb))
+        keep, gone = label[a], label[b]
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        for x in members[gone]:
+            label[x] = keep
+        members[keep] += members[gone]
+        joined.append((a, b))
 
-    for g in gens:
-        pair = _transposition_seed(g)
-        if pair is not None:
-            union(*pair)
-    # The sets refine the classes, so they equal them after n - #classes unions.
+    # The sets refine the classes, so they equal them after n - #classes joins.
     needed = blocks.n - blocks.num_classes
     done = 0
-    while done < len(joined) < needed:
-        a, b = joined[done]
-        done += 1
-        for g in gens:
-            union(g[a], g[b])
+    for seed in gens:
+        if len(joined) == needed:
+            break
+        pair = _transposition_seed(seed)
+        if pair is None or label[pair[0]] == label[pair[1]]:
+            continue
+        union(*pair)
+        while done < len(joined) < needed:
+            a, b = joined[done]
+            done += 1
+            for g in gens:
+                if label[g[a]] != label[g[b]]:
+                    union(g[a], g[b])
     return len(joined) == needed
 
 

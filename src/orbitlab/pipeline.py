@@ -28,7 +28,6 @@ from .core import (
     PartialInjection,
     Permutation,
     check_same_space,
-    compose,
     frac_str,
     support_measure,
     uniform_distance,
@@ -184,20 +183,19 @@ class PipelineReport:
         }
 
 
-def _boolean_leaves(obj):
-    if isinstance(obj, bool):
-        yield obj
-    elif isinstance(obj, Mapping):
-        for v in obj.values():
-            yield from _boolean_leaves(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from _boolean_leaves(v)
-
-
 def certificates_ok(certificates) -> bool:
     """True when every boolean leaf of nested certificate mappings and lists is true."""
-    return all(_boolean_leaves(certificates))
+    stack = [certificates]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, bool):
+            if not obj:
+                return False
+        elif isinstance(obj, Mapping):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return True
 
 
 def build_matui_pair(n_points: int) -> tuple[Permutation, Permutation]:
@@ -277,11 +275,11 @@ def regroup_graphing(phi: Graphing, k: int, m: int) -> Graphing:
 def reshape_to_precycle(phi_i: Graphing, blocks: Sequence[Sequence[int]]) -> PrePCycle:
     """Carry each map of a graphing onto consecutive blocks, forming a chain.
 
-    Map j is pre- and post-composed with the increasing matchings of block
-    j onto its domain and of its range onto block j+1 (``isopar_witness``
-    of the single class), so the new map j sends block j to block j+1.
-    Needs one more block than there are maps, all blocks of the common map
-    size, and pairwise disjoint blocks.
+    The pair of map j with the r-th least source becomes a pair from the
+    r-th least point of block j to the point of block j+1 whose rank in
+    that block equals its target's rank in the map's range, so the new map
+    j sends block j to block j+1.  Needs one more block than there are
+    maps, all blocks of the common map size, and pairwise disjoint blocks.
     """
     k = len(phi_i.maps)
     if len(blocks) != k + 1:
@@ -298,12 +296,13 @@ def reshape_to_precycle(phi_i: Graphing, blocks: Sequence[Sequence[int]]) -> Pre
         if seen & bs:
             raise ValueError(f"blocks overlap at {sorted(seen & bs)}")
         seen |= bs
-    single = Partition.single_class(phi_i.n)
+    ranked = [sorted(bs) for bs in block_sets]
     new_maps = []
     for j, old in enumerate(phi_i.maps):
-        pre = isopar_witness(single, block_sets[j], old.dom)
-        post = isopar_witness(single, old.rng, block_sets[j + 1])
-        new_maps.append(compose(post, compose(old, pre)))
+        rank = {t: r for r, t in enumerate(sorted(old.rng))}
+        dst = ranked[j + 1]
+        pairs = tuple((s, dst[rank[t]]) for s, (_, t) in zip(ranked[j], old.pairs))
+        new_maps.append(PartialInjection(phi_i.n, pairs))
     return PrePCycle(phi_i.n, tuple(new_maps))
 
 

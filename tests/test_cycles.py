@@ -98,7 +98,7 @@ class TestPrePCycleValidation:
 
     def test_json_round_trip(self):
         pre = two_step_chain()
-        assert PrePCycle.from_json_dict(pre.to_json_dict()) == pre
+        assert validate_precycle(Graphing.from_json_dict(pre.to_json_dict())) == pre
 
 
 class TestMakeCycle:

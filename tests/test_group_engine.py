@@ -507,6 +507,63 @@ class TestTranspositionClosure:
         assert all(counts.values()), counts
 
 
+def closure_by_union_find(gens, blocks):
+    """The transposition closure as a union-find pass: every seed is joined
+    first, then each joined pair of roots is closed under every generator."""
+    parent = list(range(blocks.n))
+    joined = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            joined.append((ra, rb))
+
+    for g in gens:
+        pair = _transposition_seed(g)
+        if pair is not None:
+            union(*pair)
+    needed = blocks.n - blocks.num_classes
+    done = 0
+    while done < len(joined) < needed:
+        a, b = joined[done]
+        done += 1
+        for g in gens:
+            union(g[a], g[b])
+    return len(joined) == needed
+
+
+class TestClosureDecidesAsUnionFind:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_label_array_matches_union_find(self, seed, over_orbits):
+        rng = random.Random(seed)
+        rel = random_partition(rng, rng.randint(1, 9))
+        n = rel.n
+        gens = engine_sets(rng, rel) + [
+            random_permutation(rng, n) for _ in range(rng.randint(0, 1))
+        ]
+        rng.shuffle(gens)
+        images = [g.images for g in gens]
+        # The closure needs blocks that every generator preserves.
+        in_fg = all(in_full_group(g, rel) for g in gens)
+        blocks = _orbits(images, n) if over_orbits or not in_fg else rel
+        full = _transposition_closure_is_full(images, blocks)
+        assert full == closure_by_union_find(images, blocks)
+        if full:
+            order = full_group_order(blocks)
+            assert chain_of(gens, n).order() == order
+            # Sym(9) is past the naive closure's cap; the chain covers it.
+            if order <= inspect.signature(naive_closure).parameters["cap"].default:
+                assert len(naive_closure(gens, n)) == order
+
+
 class TestCheckJoinGeneration:
     def test_two_overlapping_relations_generate_their_join(self):
         r1 = Partition.from_classes(3, [[0, 1], [2]])

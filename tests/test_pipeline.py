@@ -1,10 +1,14 @@
 """Configuration checks, the reshaping tool-chain, and full pipeline runs."""
 
+import dataclasses
 import decimal
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     ConfigError,
@@ -17,8 +21,10 @@ from orbitlab import (
     PrePCycle,
     append_psi,
     build_matui_pair,
+    compose,
     cost_graphing,
     generate_relation,
+    isopar_witness,
     merge_generators,
     orbit_sizes,
     regroup_graphing,
@@ -234,6 +240,36 @@ class TestReshapeToPrecycle:
         g = Graphing(12, (PartialInjection(12, ((8, 9),)),))
         with pytest.raises(ValueError, match="overlap"):
             reshape_to_precycle(g, [(2,), (2,)])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_carry_by_rank_equals_the_composition(self, data):
+        # The reference is the composition with the increasing matchings of
+        # block j onto the map's domain and of its range onto block j+1.
+        k = data.draw(st.integers(1, 6), label="maps")
+        m = data.draw(st.integers(1, 30 // (k + 1)), label="pairs per map")
+        n = data.draw(st.integers((k + 1) * m, 30), label="points")
+        order = data.draw(st.permutations(range(n)), label="block points")
+        blocks = [order[j * m : (j + 1) * m] for j in range(k + 1)]
+        maps = []
+        for _ in range(k):
+            sources = data.draw(st.permutations(range(n)))[:m]
+            targets = data.draw(st.permutations(range(n)))[:m]
+            maps.append(PartialInjection(n, tuple(zip(sources, targets))))
+        pre = reshape_to_precycle(Graphing(n, tuple(maps)), blocks)
+        single = Partition.single_class(n)
+        assert len(pre.maps) == k
+        for j, (old, new) in enumerate(zip(maps, pre.maps)):
+            before = isopar_witness(single, blocks[j], old.dom)
+            after = isopar_witness(single, old.rng, blocks[j + 1])
+            assert new == compose(after, compose(old, before))
+        for phi in maps + list(pre.maps):
+            assert type(phi.dom) is frozenset and type(phi.rng) is frozenset
+            assert phi.dom == {s for s, _ in phi.pairs}
+            assert phi.rng == {t for _, t in phi.pairs}
+            for name in ("dom", "rng"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(phi, name, frozenset())
 
 
 class TestAppendPsi:
@@ -481,3 +517,29 @@ class TestRunPipeline:
         assert certificates_ok(report.certificates)
         report.certificates["isopgen"][0]["generates"] = False
         assert not certificates_ok(report.certificates)
+
+
+@pytest.mark.parametrize(
+    "certificates, ok",
+    [
+        ({}, True),
+        ([], True),
+        ((), True),
+        ({"a": {}, "b": [], "c": [{}]}, True),
+        ({"order": "120", "names": ["x", "y"], "n": 3}, True),
+        ({"a": True, "b": [True, {"c": True}]}, True),
+        ({"a": [{"b": [{"c": [{"d": [False]}]}]}], "e": True}, False),
+        ([[[[[[[[[[False]]]]]]]]], True], False),
+        (False, False),
+        (True, True),
+    ],
+)
+def test_certificates_ok_reads_every_boolean_leaf(certificates, ok):
+    assert certificates_ok(certificates) is ok
+
+
+def test_certificates_ok_past_the_recursion_limit():
+    deep: list = [False]
+    for _ in range(3 * sys.getrecursionlimit()):
+        deep = [deep]
+    assert certificates_ok(deep) is False
