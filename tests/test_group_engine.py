@@ -540,7 +540,7 @@ def closure_by_union_find(gens, blocks):
 
 
 class TestClosureDecidesAsUnionFind:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 10**6), st.booleans())
     def test_label_array_matches_union_find(self, seed, over_orbits):
         rng = random.Random(seed)
