@@ -559,7 +559,7 @@ class TestClosureDecidesAsUnionFind:
         if full:
             order = full_group_order(blocks)
             assert chain_of(gens, n).order() == order
-            # Sym(9) is past the naive closure's cap; the chain covers it.
+            # Orders past the naive closure's cap, as Sym(9)'s, rest on the chain.
             if order <= inspect.signature(naive_closure).parameters["cap"].default:
                 assert len(naive_closure(gens, n)) == order
 

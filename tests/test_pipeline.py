@@ -527,7 +527,7 @@ class TestRunPipeline:
         ([], True),
         ((), True),
         ({"a": {}, "b": [], "c": [{}]}, True),
-        ({"order": "120", "names": ["x", "y"], "n": 3}, True),
+        ({"order": "120", "names": ["x", "y"], "n": 0}, True),
         ({"a": True, "b": [True, {"c": True}]}, True),
         ({"a": [{"b": [{"c": [{"d": [False]}]}]}], "e": True}, False),
         ([[[[[[[[[[False]]]]]]]]], True], False),
