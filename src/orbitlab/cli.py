@@ -19,8 +19,6 @@ import json
 import sys
 import time
 import traceback
-from json.encoder import INFINITY as _INF
-from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Permutation, check_space, frac_str
 from .cycles import make_cycle, orbit_sizes, validate_precycle
@@ -90,67 +88,9 @@ def _parse_perm_list(data) -> list[Permutation]:
     return out
 
 
-def _write(value, indent: str, out: list[str]) -> None:
-    """Append ``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
-
-    ``indent`` is a newline plus the current indentation.  Only what a
-    report holds is written; anything else raises ``TypeError``.
-    """
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        # input echoed into a report may hold 1e999 or NaN; write them as json does
-        if value != value:
-            out.append("NaN")
-        elif value == _INF:
-            out.append("Infinity")
-        elif value == -_INF:
-            out.append("-Infinity")
-        else:
-            out.append(float.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(sep)
-            out.append(_quote(key))
-            out.append(": ")
-            _write(value[key], inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    else:
-        raise TypeError(f"a report holds no {type(value).__name__}")
-
-
 def _report_text(report: dict) -> str:
-    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes it."""
-    out: list[str] = []
-    _write(report, "\n", out)
-    return "".join(out)
+    """The report as one compact line with sorted keys."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def _error_text(exc: BaseException) -> str:

@@ -4,7 +4,6 @@ import argparse
 import gc
 import io
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -335,6 +334,7 @@ class TestPipeline:
         code = dispatch(self.ARGS + ["--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0
+        assert out.read_text(encoding="utf-8") == captured.out
         on_disk = json.loads(out.read_text(encoding="utf-8"))
         printed = json.loads(captured.out)
         on_disk.pop("timing_ms")
@@ -712,47 +712,8 @@ class TestDispatchBasics:
         capsys.readouterr()
 
 
-# Strings and keys heavy in what JSON escapes: quotes, backslashes, control
-# characters, non-ASCII, astral characters and lone surrogates.
-TRICKY_TEXT = st.text(
-    st.one_of(
-        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff\xe9\U0001f600 a'),
-        st.characters(exclude_categories=()),
-    )
-)
-REPORT_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**300), max_value=10**300)
-    | st.floats()
-    | st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 1e16, 0.1, -2.5e-300, math.inf, -math.inf, math.nan])
-    | TRICKY_TEXT,
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.lists(st.integers())
-    | st.lists(st.one_of(st.integers(), st.booleans(), st.none()))
-    | st.dictionaries(TRICKY_TEXT, inner),
-    max_leaves=40,
-)
-
-
 class TestReportWriter:
-    """Reports are written with the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
-
-    @given(REPORT_VALUES)
-    @example({"b": [1, True, 2], "a": {"": [], "x": {}}, "\u00e9\"": (0, -0.0, None)})
-    @example([[1, 2, 3], [False, 1], (), [10**100]])
-    def test_matches_json_dumps(self, value):
-        assert _report_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize(
-        "value",
-        [{1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {(1, 2): 1}, {"a": {2: [1]}}, [{0: 0}]],
-    )
-    def test_non_string_keys_raise(self, value):
-        with pytest.raises(TypeError):
-            _report_text(value)
+    """Reports are written as ``json.dumps(report, sort_keys=True, separators=(",", ":"))``."""
 
     @pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), {"a": [frozenset()]}])
     def test_values_a_report_never_holds_raise(self, value):
@@ -781,7 +742,8 @@ class TestReportWriter:
         for argv, want in argvs:
             assert dispatch(argv) == want, argv
             out = capsys.readouterr().out
-            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+            text = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+            assert out == text + "\n", argv
 
     def test_echoed_non_finite_floats_print_json_dumps_bytes(self, capsys, tmp_path):
         # json.load reads 1e999 as infinity and accepts NaN; unknown keys are echoed
@@ -789,8 +751,8 @@ class TestReportWriter:
         path.write_text('{"n": 2, "classes": [[0, 1]], "x": [1e999, -1e999, NaN, 0.5]}')
         assert dispatch(["relation", "cost", "--relation", str(path)]) == 0
         out = capsys.readouterr().out
-        assert '"x": [\n        Infinity,\n        -Infinity,\n        NaN,\n        0.5\n' in out
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert '"x":[Infinity,-Infinity,NaN,0.5]' in out
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -37,7 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_KEYS = ("cli.self_s", "cli.busy_s", "pipeline.busy_s", "pipeline.self_s",
               "group_engine.calls", "group_engine.busy_s", "core.calls", "core.self_s",
-              "oracle.calls", "oracle.busy_s", "oracle.self_s")
+              "oracle.calls", "oracle.busy_s", "oracle.self_s", "cli.json_out_s",
+              "cli.report_bytes")
 
 
 def git(*args: str) -> str:

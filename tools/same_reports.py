@@ -10,10 +10,14 @@ CHANGE_REV the change side is this checkout as it stands.  Each side runs
 in its own process.  The inputs are written once, into one directory both
 sides read, because input paths appear in error texts.
 
-A request is the same on both sides when its exit code, its stderr and its
-report text, with the value of ``timing_ms`` blanked, are byte-identical.
-The script prints the count and the first differences, and exits 1 on any
-difference.
+A request is the same on both sides when its exit code and its stderr are
+byte-identical and its report is the same once parsed.  Each report is
+parsed, its ``timing_ms`` set to null, and written back as
+``json.dumps(report, sort_keys=True, separators=(",", ":"))``, the form
+``orbitlab`` prints; stdout that is not one JSON document is compared as
+it is.  Since reports are printed in that form, this is as strict as
+comparing their bytes.  The script prints the count and the first
+differences, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import contextlib
 import difflib
 import io
 import json
-import re
 import subprocess
 import sys
 import tempfile
@@ -33,7 +36,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SHOWN = 5
-TIMING = re.compile(r'^  "timing_ms": .*$', re.M)
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -58,6 +60,17 @@ def generate(directory: Path) -> list[dict]:
     return requests
 
 
+def normalized(stdout: str) -> str:
+    """The report in ``stdout`` with its timing blanked, or ``stdout`` itself."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return stdout
+    if isinstance(report, dict) and "timing_ms" in report:
+        report["timing_ms"] = None
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
 def serve(tree: str, requests_path: str, out_path: str) -> None:
     """Run every request through ``tree``'s dispatch; write what each gave."""
     sys.path.insert(0, str(Path(tree) / "src"))
@@ -74,7 +87,7 @@ def serve(tree: str, requests_path: str, out_path: str) -> None:
         except Exception as exc:  # an escaped exception is an outcome to compare
             rc = f"{type(exc).__name__}: {exc}"
         results.append({"rc": rc, "stderr": err.getvalue(),
-                        "report": TIMING.sub('  "timing_ms": _', out.getvalue())})
+                        "report": normalized(out.getvalue())})
     Path(out_path).write_text(json.dumps(results))
 
 
@@ -84,13 +97,22 @@ def run_side(tree: Path, requests_path: Path, out_path: Path) -> list[dict]:
     return json.loads(out_path.read_text())
 
 
+def readable(part: str, value) -> list[str]:
+    """``value`` as lines to diff; a report is indented so that a diff can show its keys."""
+    text = str(value)
+    if part == "report":
+        with contextlib.suppress(ValueError):
+            text = json.dumps(json.loads(text), indent=2, sort_keys=True)
+    return text.splitlines()
+
+
 def difference(base: dict, change: dict) -> list[str]:
     lines = []
     for part in ("rc", "stderr", "report"):
         if base[part] != change[part]:
             lines.append(f"  {part} differs")
             lines += ["    " + line.rstrip("\n") for line in list(difflib.unified_diff(
-                str(base[part]).splitlines(), str(change[part]).splitlines(),
+                readable(part, base[part]), readable(part, change[part]),
                 "base", "change", lineterm="", n=1))[:20]]
     return lines
 
