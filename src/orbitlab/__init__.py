@@ -38,11 +38,9 @@ from .pipeline import (
     GeneratorSet,
     PipelineConfig,
     PipelineReport,
-    append_psi,
     build_matui_pair,
     merge_generators,
     regroup_graphing,
-    reshape_to_precycle,
     run_pipeline,
     split_graphing,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "build_matui_pair",
     "split_graphing",
     "regroup_graphing",
-    "reshape_to_precycle",
-    "append_psi",
     "merge_generators",
     "run_pipeline",
     "SearchResult",

@@ -205,20 +205,10 @@ class PartialInjection:
             targets.add(t)
         object.__setattr__(self, "dom", frozenset(sources))
         object.__setattr__(self, "rng", frozenset(targets))
-        object.__setattr__(self, "_forward", dict(pairs))
 
     @property
     def domain_measure(self) -> Fraction:
         return Fraction(len(self.pairs), self.n)
-
-    def apply(self, x: int) -> int:
-        try:
-            return self._forward[x]
-        except KeyError:
-            raise ValueError(f"point {x} is not in the domain") from None
-
-    def get(self, x: int) -> int | None:
-        return self._forward.get(x)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "pairs": [[s, t] for s, t in self.pairs]}
@@ -240,9 +230,10 @@ def compose(outer: PartialInjection, inner: PartialInjection) -> PartialInjectio
     ``inner^{-1}(dom outer & rng inner)``.
     """
     check_same_space(outer, inner)
+    forward = dict(outer.pairs)
     pairs = []
     for s, mid in inner.pairs:
-        t = outer.get(mid)
+        t = forward.get(mid)
         if t is not None:
             pairs.append((s, t))
     return PartialInjection(outer.n, tuple(pairs))

@@ -110,11 +110,11 @@ def make_cycle(pre: PrePCycle) -> Permutation:
     for phi in pre.maps:
         for s, t in phi.pairs:
             images[s] = t
-    # Close each chain: walk forward from the start to the final station.
-    for start in sorted(pre.maps[0].dom):
+    # Close each chain: follow its images from the start to the final station.
+    for start in pre.maps[0].dom:
         x = start
-        for phi in pre.maps:
-            x = phi.apply(x)
+        for _ in pre.maps:
+            x = images[x]
         images[x] = start
     return Permutation(tuple(images))
 

@@ -19,7 +19,7 @@ the case where the target group is smaller than the whole symmetric group.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,14 +34,7 @@ from .core import (
 )
 from .cycles import PrePCycle, make_cycle, orbit_sizes
 from .group_engine import generates_full_group
-from .relations import (
-    Graphing,
-    Partition,
-    full_group_generators,
-    generate_relation,
-    isopar_witness,
-    join,
-)
+from .relations import Graphing, Partition, generate_relation, join
 
 MODES = ("a", "b", "both")
 
@@ -208,7 +201,10 @@ def build_matui_pair(n_points: int) -> tuple[Permutation, Permutation]:
     """
     if n_points < 3:
         raise ValueError(f"need at least 3 points, got {n_points}")
-    return full_group_generators(Partition.single_class(n_points))
+    return (
+        Permutation.from_cycles(n_points, [range(n_points)]),
+        Permutation.from_cycles(n_points, [(0, 1)]),
+    )
 
 
 def split_graphing(phi: Graphing, n: int) -> list[Graphing]:
@@ -272,55 +268,6 @@ def regroup_graphing(phi: Graphing, k: int, m: int) -> Graphing:
     return Graphing(phi.n, tuple(PartialInjection(phi.n, tuple(b)) for b in buckets))
 
 
-def reshape_to_precycle(phi_i: Graphing, blocks: Sequence[Sequence[int]]) -> PrePCycle:
-    """Carry each map of a graphing onto consecutive blocks, forming a chain.
-
-    The pair of map j with the r-th least source becomes a pair from the
-    r-th least point of block j to the point of block j+1 whose rank in
-    that block equals its target's rank in the map's range, so the new map
-    j sends block j to block j+1.  Needs one more block than there are
-    maps, all blocks of the common map size, and pairwise disjoint blocks.
-    """
-    k = len(phi_i.maps)
-    if len(blocks) != k + 1:
-        raise ValueError(f"{k} maps need {k + 1} blocks, got {len(blocks)}")
-    sizes = {len(mp.pairs) for mp in phi_i.maps}
-    block_sets = [frozenset(b) for b in blocks]
-    if len(sizes) != 1 or sizes != {len(bs) for bs in block_sets}:
-        raise ValueError(
-            f"map sizes {sorted(sizes)} and block sizes "
-            f"{sorted({len(b) for b in block_sets})} must all agree"
-        )
-    seen: set[int] = set()
-    for bs in block_sets:
-        if seen & bs:
-            raise ValueError(f"blocks overlap at {sorted(seen & bs)}")
-        seen |= bs
-    ranked = [sorted(bs) for bs in block_sets]
-    new_maps = []
-    for j, old in enumerate(phi_i.maps):
-        rank = {t: r for r, t in enumerate(sorted(old.rng))}
-        dst = ranked[j + 1]
-        pairs = tuple((s, dst[rank[t]]) for s, (_, t) in zip(ranked[j], old.pairs))
-        new_maps.append(PartialInjection(phi_i.n, pairs))
-    return PrePCycle(phi_i.n, tuple(new_maps))
-
-
-def append_psi(
-    cycles: Sequence[PrePCycle], a_src: Sequence[int], a_dst: Sequence[int]
-) -> list[PrePCycle]:
-    """Extend every chain by one shared map from a_src to a_dst.
-
-    The shared map matches the two blocks in increasing point order.
-    Chaining and disjointness are re-validated per chain, so a_src must be
-    every chain's final range and a_dst must be fresh.
-    """
-    if not cycles:
-        raise ValueError("no chains to extend")
-    psi = isopar_witness(Partition.single_class(cycles[0].n), a_src, a_dst)
-    return [PrePCycle(c.n, c.maps + (psi,)) for c in cycles]
-
-
 def merge_generators(u0: Permutation, c1: Permutation, p: int) -> Permutation:
     """Merge an involution with a disjoint cycle permutation into one element.
 
@@ -350,16 +297,30 @@ def merge_generators(u0: Permutation, c1: Permutation, p: int) -> Permutation:
     return u1
 
 
-def _synth_precycle(config: PipelineConfig, blocks, i: int) -> PrePCycle:
-    # Chain i sends slot r of block j to slot (r + i - 1) mod m of block j+1,
-    # so distinct chains trace distinct pairings through the same blocks.
-    m = config.m
-    maps = []
-    for j in range(config.p):
-        src, dst = blocks[j], blocks[j + 1]
-        pairs = tuple((src[r], dst[(r + i - 1) % m]) for r in range(m))
-        maps.append(PartialInjection(config.n_points, pairs))
-    return PrePCycle(config.n_points, tuple(maps))
+def _chains(config: PipelineConfig, blocks, psi: PartialInjection) -> list[PrePCycle]:
+    # Each chain is p slot maps plus psi: slot map j sends the r-th point of
+    # block j to the point of rank slots[r] in block j+1.  Synthetic chain i + 1
+    # takes slot (r + i) mod m in every block, so distinct chains trace
+    # distinct pairings; a graphing's map gives, pair by pair in source
+    # order, the rank of the pair's target in the map's range.
+    N, p, m = config.n_points, config.p, config.m
+    if config.graphing is None:
+        slot_maps = [[[(r + i) % m for r in range(m)]] * p for i in range(config.n_cycles)]
+    else:
+        slot_maps = []
+        for chunk in split_graphing(config.graphing, config.n_cycles):
+            chain = []
+            for old in regroup_graphing(chunk, p, m).maps:
+                rank = {t: r for r, t in enumerate(sorted(old.rng))}
+                chain.append([rank[t] for _, t in old.pairs])
+            slot_maps.append(chain)
+    return [
+        PrePCycle(N, tuple(
+            PartialInjection(N, tuple((s, blocks[j + 1][r]) for s, r in zip(blocks[j], slots)))
+            for j, slots in enumerate(chain)
+        ) + (psi,))
+        for chain in slot_maps
+    ]
 
 
 def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
@@ -380,23 +341,9 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
     t0, u0 = build_matui_pair(N)
     # T0 is an N-cycle, so the relation it generates is the single class.
     single = Partition.single_class(N)
-
-    if config.graphing is None:
-        pres = [
-            _synth_precycle(config, blocks, i)
-            for i in range(1, config.n_cycles + 1)
-        ]
-    else:
-        chunks = split_graphing(config.graphing, config.n_cycles)
-        pres = [
-            reshape_to_precycle(
-                regroup_graphing(chunk, config.p, config.m), blocks[: config.p + 1]
-            )
-            for chunk in chunks
-        ]
-
-    tilde = append_psi(pres, blocks[-2], blocks[-1])
-    psi = tilde[0].maps[-1]
+    # psi keeps each slot: it matches the last two blocks in point order.
+    psi = PartialInjection(N, tuple(zip(blocks[-2], blocks[-1])))
+    tilde = _chains(config, blocks, psi)
     cycles = [make_cycle(pre) for pre in tilde]
     u1 = merge_generators(u0, cycles[0], config.p)
     gen_set = GeneratorSet(
@@ -408,7 +355,8 @@ def run_pipeline(config: PipelineConfig, mode: str = "both") -> PipelineReport:
         psi=psi,
     )
 
-    psi_gens = list(full_group_generators(generate_relation(Graphing(N, (psi,)))))
+    # The relation of psi has the classes {s, t}, one per pair.
+    psi_gens = [Permutation.from_cycles(N, [pair]) for pair in psi.pairs]
     chain_rels = [generate_relation(pre.as_graphing()) for pre in tilde]
     # merge_generators returns only once both identities hold exactly.
     certificates: dict = {

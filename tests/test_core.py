@@ -131,13 +131,6 @@ class TestPartialInjection:
         assert phi.rng == {1, 3, 5}
         assert phi.domain_measure == Fraction(1, 2)
 
-    def test_apply_and_get(self):
-        phi = PartialInjection(4, ((1, 2),))
-        assert phi.apply(1) == 2
-        assert phi.get(0) is None
-        with pytest.raises(ValueError):
-            phi.apply(0)
-
     def test_json_round_trip(self):
         phi = PartialInjection(5, ((4, 0), (2, 3)))
         assert PartialInjection.from_json_dict(phi.to_json_dict()) == phi

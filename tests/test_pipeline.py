@@ -19,17 +19,15 @@ from orbitlab import (
     Partition,
     Permutation,
     PipelineConfig,
-    PrePCycle,
-    append_psi,
     build_matui_pair,
     compose,
     cost_graphing,
+    full_group_generators,
     generate_relation,
     isopar_witness,
     merge_generators,
     orbit_sizes,
     regroup_graphing,
-    reshape_to_precycle,
     run_pipeline,
     split_graphing,
 )
@@ -218,78 +216,63 @@ class TestRegroupGraphing:
 
 
 class TestReshapeToPrecycle:
+    """The graphing path carries each map onto its blocks by rank."""
+
     def test_carries_maps_onto_blocks(self):
-        g = Graphing(
-            12,
-            (PartialInjection(12, ((8, 9),)), PartialInjection(12, ((9, 10),))),
+        user = Graphing(
+            24,
+            (
+                PartialInjection(24, ((14, 21), (15, 20))),
+                PartialInjection(24, ((16, 17), (18, 19))),
+                PartialInjection(24, ((12, 23), (13, 22))),
+            ),
         )
-        pre = reshape_to_precycle(g, [(2,), (3,), (4,)])
-        assert pre.maps[0].pairs == ((2, 3),)
-        assert pre.maps[1].pairs == ((3, 4),)
-
-    def test_needs_one_more_block_than_maps(self):
-        g = Graphing(12, (PartialInjection(12, ((8, 9),)),))
-        with pytest.raises(ValueError, match="blocks"):
-            reshape_to_precycle(g, [(2,)])
-
-    def test_block_and_map_sizes_must_agree(self):
-        g = Graphing(12, (PartialInjection(12, ((8, 9), (6, 7))),))
-        with pytest.raises(ValueError, match="sizes"):
-            reshape_to_precycle(g, [(2,), (3,)])
-
-    def test_blocks_must_be_disjoint(self):
-        g = Graphing(12, (PartialInjection(12, ((8, 9),)),))
-        with pytest.raises(ValueError, match="overlap"):
-            reshape_to_precycle(g, [(2,), (2,)])
+        report = run_pipeline(PipelineConfig(1, 24, 3, 2, graphing=user), mode="b")
+        assert [phi.pairs for phi in report.precycles[0].maps] == [
+            ((2, 5), (3, 4)),
+            ((4, 6), (5, 7)),
+            ((6, 9), (7, 8)),
+            ((8, 10), (9, 11)),
+        ]
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(st.integers(0, 10**6))
-    def test_carry_by_rank_equals_the_composition(self, seed):
+    @given(
+        st.sampled_from([3, 5]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 12),
+        st.integers(0, 10**6),
+    )
+    def test_carry_by_rank_equals_the_composition(self, p, m, n, extra, seed):
         # The reference is the composition with the increasing matchings of
         # block j onto the map's domain and of its range onto block j+1.
         rng = random.Random(seed)
-        k = rng.randint(1, 6)
-        m = rng.randint(1, 30 // (k + 1))
-        n = rng.randint((k + 1) * m, 30)
-        points = rng.sample(range(n), (k + 1) * m)
-        blocks = [points[j * m : (j + 1) * m] for j in range(k + 1)]
+        N = 3 + p * m + p * p * m // 2 + extra  # the least N with 2/N < epsilon, plus extra
         maps = [
-            PartialInjection(n, tuple(zip(rng.sample(range(n), m), rng.sample(range(n), m))))
-            for _ in range(k)
+            PartialInjection(N, tuple(zip(rng.sample(range(N), m), rng.sample(range(N), m))))
+            for _ in range(n * p)
         ]
-        pre = reshape_to_precycle(Graphing(n, tuple(maps)), blocks)
-        single = Partition.single_class(n)
-        assert len(pre.maps) == k
-        for j, (old, new) in enumerate(zip(maps, pre.maps)):
-            before = isopar_witness(single, blocks[j], old.dom)
-            after = isopar_witness(single, old.rng, blocks[j + 1])
-            assert new == compose(after, compose(old, before))
-        for phi in maps + list(pre.maps):
-            assert type(phi.dom) is frozenset and type(phi.rng) is frozenset
-            assert phi.dom == {s for s, _ in phi.pairs}
-            assert phi.rng == {t for _, t in phi.pairs}
-            for name in ("dom", "rng"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(phi, name, frozenset())
-
-
-class TestAppendPsi:
-    def test_extends_every_chain_with_the_same_map(self):
-        pre1 = PrePCycle(10, (PartialInjection(10, ((2, 4), (3, 5))),))
-        pre2 = PrePCycle(10, (PartialInjection(10, ((3, 4), (2, 5))),))
-        out = append_psi([pre1, pre2], (4, 5), (6, 7))
-        assert out[0].maps[-1] == out[1].maps[-1]
-        assert out[0].maps[-1].pairs == ((4, 6), (5, 7))
-        assert all(c.p == 3 for c in out)
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(ValueError, match="no chains to extend"):
-            append_psi([], (0,), (1,))
-
-    def test_target_block_must_be_fresh(self):
-        pre = PrePCycle(10, (PartialInjection(10, ((2, 4),)),))
-        with pytest.raises(ValueError):
-            append_psi([pre], (4,), (2,))
+        user = Graphing(N, tuple(maps))
+        config = PipelineConfig(n, N, p, m, graphing=user)
+        report = run_pipeline(config, mode="b")
+        blocks = config.blocks()
+        single = Partition.single_class(N)
+        psi = isopar_witness(single, blocks[-2], blocks[-1])
+        assert len(report.precycles) == n
+        for chunk, pre in zip(split_graphing(user, n), report.precycles):
+            olds = regroup_graphing(chunk, p, m).maps
+            assert len(pre.maps) == p + 1 and pre.maps[-1] == psi
+            for j, (old, new) in enumerate(zip(olds, pre.maps)):
+                before = isopar_witness(single, blocks[j], old.dom)
+                after = isopar_witness(single, old.rng, blocks[j + 1])
+                assert new == compose(after, compose(old, before))
+            for phi in olds + pre.maps:
+                assert type(phi.dom) is frozenset and type(phi.rng) is frozenset
+                assert phi.dom == {s for s, _ in phi.pairs}
+                assert phi.rng == {t for _, t in phi.pairs}
+                for name in ("dom", "rng"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(phi, name, frozenset())
 
 
 class TestMergeGenerators:
@@ -412,6 +395,16 @@ class TestRunPipeline:
         for cyc in report.generators.cycles:
             assert set(orbit_sizes(cyc)) <= {1, cfg.p + 2}
 
+    def test_synthetic_chain_i_sends_slot_r_to_slot_r_plus_i_minus_1(self):
+        cfg = PipelineConfig(3, 25, 3, 3)
+        blocks = cfg.blocks()
+        report = run_pipeline(cfg, mode="b")
+        for i, pre in enumerate(report.precycles, start=1):
+            assert [phi.pairs for phi in pre.maps[:-1]] == [
+                tuple((blocks[j][r], blocks[j + 1][(r + i - 1) % 3]) for r in range(3))
+                for j in range(3)
+            ]
+
     def test_merged_element_recovers_both_factors(self):
         report = run_pipeline(PipelineConfig(1, 12, 3, 1), mode="a")
         gs = report.generators
@@ -497,6 +490,45 @@ class TestRunPipeline:
             report = run_pipeline(cfg, mode="both")
             assert certificates_ok(report.certificates), cfg
         assert built == []
+
+    @pytest.mark.parametrize("graphing", [False, True])
+    def test_builds_the_single_class_once(self, monkeypatch, graphing):
+        built = []
+        single_class = Partition.single_class
+
+        def spy(cls, n):
+            built.append(n)
+            return single_class(n)
+
+        monkeypatch.setattr(Partition, "single_class", classmethod(spy))
+        user = Graphing(
+            12,
+            (
+                PartialInjection(12, ((7, 8),)),
+                PartialInjection(12, ((8, 9),)),
+                PartialInjection(12, ((9, 10),)),
+            ),
+        )
+        cfg = PipelineConfig(1, 12, 3, 1, graphing=user if graphing else None)
+        report = run_pipeline(cfg, mode="both")
+        assert certificates_ok(report.certificates)
+        assert built == [12]
+
+    def test_psi_generators_are_its_full_group_generators(self, monkeypatch):
+        seen = []
+
+        def spy(gens, relation):
+            seen.append(list(gens))
+            return generates_full_group(gens, relation)
+
+        monkeypatch.setattr(pipeline, "generates_full_group", spy)
+        cfg = PipelineConfig(2, 40, 3, 2)
+        report = run_pipeline(cfg, mode="b")
+        psi = report.generators.psi
+        expected = full_group_generators(generate_relation(Graphing(cfg.n_points, (psi,))))
+        assert len(seen) == 1 and len(expected) == cfg.m
+        assert seen[0][: cfg.n_cycles] == list(report.generators.cycles)
+        assert seen[0][cfg.n_cycles :] == list(expected)
 
     def test_determinism(self):
         cfg = PipelineConfig(2, 16, 3, 1)

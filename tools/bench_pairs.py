@@ -6,9 +6,11 @@ Each revision is extracted with ``git archive`` into a work directory and
 runs its own ``orbitbench/run.py``, one process at a time.  For every
 workload of BENCHMARK.json, ``--pairs`` pairs of untraced runs of
 ``run_seconds``: both sides of a pair share a seed, the parent runs first
-in even pairs and the change first in odd ones.  Then one traced run per
-side of the claimed workload (``pipeline`` without a claim), stored under
-``trace``, and the tier-1 suite timed ``--tier1`` times per side.  The
+in even pairs and the change first in odd ones.  Then three traced runs
+per side of the claimed workload (``pipeline`` without a claim), the
+parent first in runs 0 and 2 and the change first in run 1, stored under
+``trace`` with every run's per-request layer figures and each side's
+median, and the tier-1 suite timed ``--tier1`` times per side.  The
 record holds, per workload and end-to-end metric, both sides' quartiles
 (``statistics.quantiles(method="inclusive")``), every run's value, the
 pairs the change won, and whether the change's median is worse than the
@@ -39,6 +41,7 @@ TRACE_KEYS = ("cli.self_s", "cli.busy_s", "pipeline.busy_s", "pipeline.self_s",
               "group_engine.calls", "group_engine.busy_s", "core.calls", "core.self_s",
               "oracle.calls", "oracle.busy_s", "oracle.self_s", "cli.json_out_s",
               "cli.report_bytes")
+TRACED_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -101,14 +104,20 @@ def traced(trees: dict, workload: str, seed: int, seconds: float, tmp: Path) -> 
     (tmp / "count").mkdir()
     per_round = len(workloads.generate(workload, seed, str(tmp / "count")))
     out = {"workload": workload,
-           "run": f"run.py --workload {workload} --seed {seed} --seconds {seconds:g} --trace 1"}
+           "run": f"run.py --workload {workload} --seed {seed} --seconds {seconds:g} --trace 1",
+           "first_side": [SIDES[i % 2] for i in range(TRACED_RUNS)]}
+    runs = {side: [] for side in SIDES}
+    for i in range(TRACED_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            result, _ = run(trees[side], workload, seed, seconds, 1)
+            # one warm round, then the same number of plain and traced rounds
+            requests = (result["attempted"] - per_round) // 2
+            totals = {k: result["metrics"][k]["value"] for k in TRACE_KEYS}
+            runs[side].append({"traced_requests": requests, "totals": totals,
+                               "per_request": {k: v / requests for k, v in totals.items()}})
     for side in SIDES:
-        result, _ = run(trees[side], workload, seed, seconds, 1)
-        # one warm round, then the same number of plain and traced rounds
-        requests = (result["attempted"] - per_round) // 2
-        totals = {k: result["metrics"][k]["value"] for k in TRACE_KEYS}
-        out[side] = {"traced_requests": requests, "totals": totals,
-                     "per_request": {k: v / requests for k, v in totals.items()}}
+        out[side] = {"runs": runs[side], "median_per_request": {
+            k: statistics.median(r["per_request"][k] for r in runs[side]) for k in TRACE_KEYS}}
     return out
 
 
